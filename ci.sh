@@ -90,6 +90,18 @@ diff "$SWEEP_TMP/heap/sweep.json" "$SWEEP_TMP/wheel/sweep.json"
 diff "$SWEEP_TMP/heap/sweep.csv" "$SWEEP_TMP/wheel/sweep.csv"
 echo "scheduler snapshots identical"
 
+echo "== export parity: the three trace TSVs under heap vs timing wheel =="
+# export-traces replays the scenario it is given, so the scheduler
+# override reaches the exported week; its bytes must not move.
+cargo run --release -p odx-bench --bin repro -- export-traces \
+  --scale 0.01 --out "$SWEEP_TMP/export-heap" > /dev/null
+cargo run --release -p odx-bench --bin repro -- export-traces \
+  --scale 0.01 --set sim.scheduler=wheel --out "$SWEEP_TMP/export-wheel" > /dev/null
+for t in workload_trace predownload_trace fetch_trace; do
+  cmp "$SWEEP_TMP/export-heap/$t.tsv" "$SWEEP_TMP/export-wheel/$t.tsv"
+done
+echo "trace exports identical"
+
 echo "== cache-compare smoke: all policies x 2 seeds, --jobs invariant =="
 cargo run --release -p odx-bench --bin repro -- cache-compare \
   --scenario all --seeds 2 --jobs 1 --scale 0.001 --out "$SWEEP_TMP/cc1"

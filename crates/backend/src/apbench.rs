@@ -192,8 +192,7 @@ impl SmartApBenchmark {
         rngs: &RngFactory,
         faults: &FaultsConfig,
     ) -> ApBenchReport {
-        let plan = FaultPlan::compile(faults, &mut rngs.stream("smartap-faults"));
-        Self::replay_fleet_inner(sample, fleet, rngs, None, None, &plan).0
+        Self::replay_fleet_inner(sample, fleet, rngs, None, None, &Self::fault_plan(faults, rngs)).0
     }
 
     /// Replay a fleet with per-task lifecycle tracing. The harness is
@@ -201,11 +200,13 @@ impl SmartApBenchmark {
     /// *i+1* on an AP starts when task *i* on that AP finished, and each
     /// task's trace is an arrival instant plus a pre-download span whose
     /// length is the measured transfer duration. Failed tasks dump the
-    /// flight recorder with the §5.2 cause taxonomy.
+    /// flight recorder with the §5.2 cause taxonomy. Faults are injected
+    /// exactly as in [`SmartApBenchmark::replay_fleet_faulted`].
     pub fn replay_fleet_traced(
         sample: &[SampledRequest],
         fleet: &[ApContext; 3],
         rngs: &RngFactory,
+        faults: &FaultsConfig,
         trace: &TraceConfig,
     ) -> (ApBenchReport, LifecycleReport) {
         let (report, lifecycle) = Self::replay_fleet_inner(
@@ -214,7 +215,7 @@ impl SmartApBenchmark {
             rngs,
             Some(Lifecycle::new(trace)),
             None,
-            &FaultPlan::empty(),
+            &Self::fault_plan(faults, rngs),
         );
         (report, lifecycle.expect("tracing was requested"))
     }
@@ -225,10 +226,13 @@ impl SmartApBenchmark {
     /// virtual time, which is what the harness reports as total delay.
     /// Tasks are charged in replay order. Counters land in `registry` and
     /// the finished snapshot's last sample equals their final values.
+    /// Faults are injected exactly as in
+    /// [`SmartApBenchmark::replay_fleet_faulted`].
     pub fn replay_fleet_series(
         sample: &[SampledRequest],
         fleet: &[ApContext; 3],
         rngs: &RngFactory,
+        faults: &FaultsConfig,
         registry: &Registry,
         interval_ms: u64,
     ) -> (ApBenchReport, SeriesSnapshot) {
@@ -242,9 +246,15 @@ impl SmartApBenchmark {
             storage_limited: registry.counter("ap.storage_limited"),
             recorder: recorder.clone(),
         };
-        let (report, _) =
-            Self::replay_fleet_inner(sample, fleet, rngs, None, Some(&ctx), &FaultPlan::empty());
+        let plan = Self::fault_plan(faults, rngs);
+        let (report, _) = Self::replay_fleet_inner(sample, fleet, rngs, None, Some(&ctx), &plan);
         (report, recorder.snapshot())
+    }
+
+    /// The smart-AP fault plan, compiled from its own `"smartap-faults"`
+    /// stream so that no other draw moves.
+    fn fault_plan(faults: &FaultsConfig, rngs: &RngFactory) -> FaultPlan {
+        FaultPlan::compile(faults, &mut rngs.stream("smartap-faults"))
     }
 
     fn replay_fleet_inner(
@@ -431,6 +441,7 @@ mod tests {
                 &sample,
                 &ApContext::bench_fleet(),
                 &RngFactory::new(147),
+                &FaultsConfig::default(),
                 &registry,
                 interval_ms,
             );
@@ -478,6 +489,7 @@ mod tests {
             &sample,
             &ApContext::bench_fleet(),
             &RngFactory::new(148),
+            &FaultsConfig::default(),
             &TraceConfig::full(),
         );
         // Tracing must not perturb the replay itself.

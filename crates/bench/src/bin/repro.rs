@@ -266,6 +266,26 @@ fn parse_set(operand: &str) -> (String, Json) {
     (path.to_owned(), value)
 }
 
+/// The operand of `flag`, or a usage error naming the flag.
+fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next().unwrap_or_else(|| fail_usage(&format!("{flag} needs a value")))
+}
+
+/// The operand of `flag` parsed as a `T` that passes `valid`, or a usage
+/// error naming the flag and what it `needs`.
+fn parse_flag<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    needs: &str,
+    valid: impl Fn(&T) -> bool,
+) -> T {
+    let raw = flag_value(args, flag);
+    raw.parse()
+        .ok()
+        .filter(valid)
+        .unwrap_or_else(|| fail_usage(&format!("{flag} needs {needs} (got `{raw}`)")))
+}
+
 fn parse_args() -> Options {
     let mut commands = BTreeSet::new();
     let mut positionals: Vec<String> = Vec::new();
@@ -288,35 +308,40 @@ fn parse_args() -> Options {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--scenario" => scenario_selector = args.next().expect("--scenario value"),
+            "--scenario" => scenario_selector = flag_value(&mut args, "--scenario"),
             "--scenario-file" => {
-                scenario_files.push(PathBuf::from(args.next().expect("--scenario-file value")))
+                scenario_files.push(PathBuf::from(flag_value(&mut args, "--scenario-file")))
             }
-            "--set" => sets.push(parse_set(&args.next().expect("--set value"))),
+            "--set" => sets.push(parse_set(&flag_value(&mut args, "--set"))),
             "--all" => dump_all = true,
             "--policy" => {
                 // Cache and retry policy names share the flag (the two
                 // namespaces are disjoint): `lru` narrows cache-compare,
                 // `expo` narrows the resilience grid.
-                let name = args.next().expect("--policy value");
+                let name = flag_value(&mut args, "--policy");
                 match (PolicyKind::parse(&name), odx::faults::RetryKind::parse(&name)) {
                     (Some(p), _) => policy = Some(p),
                     (None, Some(r)) => retry_policy = Some(r),
                     (None, None) => usage_error(&format!("cache or retry policy `{name}`")),
                 }
             }
-            "--scale" => scale = args.next().expect("--scale value").parse().expect("scale"),
-            "--seed" => seed = args.next().expect("--seed value").parse().expect("seed"),
-            "--seeds" => seeds = args.next().expect("--seeds value").parse().expect("seeds"),
-            "--jobs" => jobs = args.next().expect("--jobs value").parse().expect("jobs"),
-            "--sample" => sample = args.next().expect("--sample value").parse().expect("sample"),
-            "--trace-sample" => {
-                trace_sample =
-                    args.next().expect("--trace-sample value").parse().expect("trace-sample")
+            "--scale" => {
+                scale = parse_flag(&mut args, "--scale", "a number > 0", |s: &f64| {
+                    s.is_finite() && *s > 0.0
+                })
             }
-            "--out" => out = Some(PathBuf::from(args.next().expect("--out dir"))),
-            "--metrics" => metrics = Some(PathBuf::from(args.next().expect("--metrics file"))),
-            "--json" => json = Some(PathBuf::from(args.next().expect("--json file"))),
+            "--seed" => seed = parse_flag(&mut args, "--seed", "an integer >= 0", |_| true),
+            "--seeds" => seeds = parse_flag(&mut args, "--seeds", "an integer >= 1", |&n| n >= 1),
+            "--jobs" => jobs = parse_flag(&mut args, "--jobs", "an integer >= 1", |&n| n >= 1),
+            "--sample" => {
+                sample = parse_flag(&mut args, "--sample", "an integer >= 1", |&n| n >= 1)
+            }
+            "--trace-sample" => {
+                trace_sample = parse_flag(&mut args, "--trace-sample", "an integer >= 0", |_| true)
+            }
+            "--out" => out = Some(PathBuf::from(flag_value(&mut args, "--out"))),
+            "--metrics" => metrics = Some(PathBuf::from(flag_value(&mut args, "--metrics"))),
+            "--json" => json = Some(PathBuf::from(flag_value(&mut args, "--json"))),
             "--progress" => progress = true,
             flag if flag.starts_with('-') => usage_error(&format!("flag `{flag}`")),
             word => positionals.push(word.to_owned()),
@@ -389,8 +414,8 @@ fn parse_args() -> Options {
         dump_all,
         scale,
         seed,
-        seeds: seeds.max(1),
-        jobs: jobs.max(1),
+        seeds,
+        jobs,
         sample,
         trace_sample,
         out,
@@ -2047,7 +2072,7 @@ fn export_traces(study: &Study, opts: &Options) {
     section("Export — the dataset's three traces as TSV");
     let dir = opts.out.clone().unwrap_or_else(|| PathBuf::from("out"));
     std::fs::create_dir_all(&dir).expect("create output dir");
-    let report = study.replay_cloud();
+    let report = study.replay_cloud_scenario(&opts.scenario);
 
     // Workload trace.
     let workload_records: Vec<odx::trace::records::WorkloadRecord> = study

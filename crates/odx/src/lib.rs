@@ -187,7 +187,8 @@ impl Study {
         self.replay_cloud_observed(scenario, registry, observers).0
     }
 
-    /// Run the §5.1 benchmark under a scenario with lifecycle tracing.
+    /// Run the §5.1 benchmark over a scenario's AP fleet, under its fault
+    /// plan, with lifecycle tracing.
     pub fn replay_smart_aps_traced(
         &self,
         n: usize,
@@ -198,6 +199,7 @@ impl Study {
             &self.benchmark_sample(n),
             &scenario.ap_fleet,
             &self.rngs.child("smartap"),
+            &scenario.faults,
             trace,
         )
     }
@@ -247,8 +249,9 @@ impl Study {
         )
     }
 
-    /// Run the §5.1 benchmark under a scenario while recording the
-    /// `ap.*` virtual-time series at the scenario's cadence.
+    /// Run the §5.1 benchmark over a scenario's AP fleet, under its fault
+    /// plan, while recording the `ap.*` virtual-time series at the
+    /// scenario's cadence.
     pub fn replay_smart_aps_series(
         &self,
         n: usize,
@@ -259,6 +262,7 @@ impl Study {
             &self.benchmark_sample(n),
             &scenario.ap_fleet,
             &self.rngs.child("smartap"),
+            &scenario.faults,
             registry,
             scenario.series_interval_ms(),
         )

@@ -29,16 +29,22 @@ pub enum FileType {
     Other,
 }
 
-impl fmt::Display for FileType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl FileType {
+    /// The lowercase name the traces and reports use.
+    pub fn as_str(self) -> &'static str {
+        match self {
             FileType::Video => "video",
             FileType::Software => "software",
             FileType::Document => "document",
             FileType::Image => "image",
             FileType::Other => "other",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for FileType {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -72,15 +78,21 @@ impl Protocol {
     }
 }
 
-impl fmt::Display for Protocol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl Protocol {
+    /// The lowercase name the traces and reports use.
+    pub fn as_str(self) -> &'static str {
+        match self {
             Protocol::BitTorrent => "bittorrent",
             Protocol::EMule => "emule",
             Protocol::Http => "http",
             Protocol::Ftp => "ftp",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Protocol {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

@@ -27,6 +27,7 @@
 //!   Unicom-user requests that carry access-bandwidth information.
 
 mod catalog;
+pub mod decimal;
 mod file;
 pub mod io;
 pub mod records;

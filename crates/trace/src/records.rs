@@ -8,7 +8,7 @@ use odx_sim::SimTime;
 use serde::Serialize;
 
 use crate::file::{FileType, Protocol};
-use crate::io::{FromTsv, ParseError, ToTsv};
+use crate::io::{tsv_row, FromTsv, ParseError, ToTsv};
 use odx_p2p::FailureCause;
 
 /// Workload-trace row: one user request (§3, part 1).
@@ -117,13 +117,6 @@ fn isp_from_str(s: &str) -> Result<Isp, ParseError> {
     }
 }
 
-fn opt_f64_to_str(v: Option<f64>) -> String {
-    match v {
-        Some(x) => format!("{x}"),
-        None => "-".to_owned(),
-    }
-}
-
 fn opt_f64_from_str(s: &str) -> Result<Option<f64>, ParseError> {
     if s == "-" {
         Ok(None)
@@ -155,18 +148,17 @@ impl ToTsv for WorkloadRecord {
     const HEADER: &'static str =
         "user_id\tisp\taccess_kbps\trequest_time_ms\tfile_type\tsize_mb\tsource_link\tprotocol";
 
-    fn to_row(&self) -> String {
-        format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+    fn write_row(&self, out: &mut Vec<u8>) {
+        tsv_row!(out;
             self.user_id,
             isp_to_str(self.isp),
-            opt_f64_to_str(self.access_kbps),
+            self.access_kbps,
             self.request_time.as_millis(),
-            self.file_type,
+            self.file_type.as_str(),
             self.size_mb,
-            self.source_link,
-            self.protocol,
-        )
+            self.source_link.as_str(),
+            self.protocol.as_str(),
+        );
     }
 }
 
@@ -207,9 +199,8 @@ impl FromTsv for WorkloadRecord {
 impl ToTsv for PredownloadRecord {
     const HEADER: &'static str = "start_ms\tfinish_ms\tacquired_mb\ttraffic_mb\tcache_hit\tavg_kbps\tpeak_kbps\tsuccess\tfailure_cause";
 
-    fn to_row(&self) -> String {
-        format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+    fn write_row(&self, out: &mut Vec<u8>) {
+        tsv_row!(out;
             self.start.as_millis(),
             self.finish.as_millis(),
             self.acquired_mb,
@@ -219,7 +210,7 @@ impl ToTsv for PredownloadRecord {
             self.peak_kbps,
             self.success,
             cause_to_str(self.failure_cause),
-        )
+        );
     }
 }
 
@@ -255,12 +246,11 @@ impl FromTsv for PredownloadRecord {
 impl ToTsv for FetchRecord {
     const HEADER: &'static str = "user_id\tisp\taccess_kbps\tstart_ms\tfinish_ms\tacquired_mb\ttraffic_mb\tavg_kbps\tpeak_kbps\trejected";
 
-    fn to_row(&self) -> String {
-        format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+    fn write_row(&self, out: &mut Vec<u8>) {
+        tsv_row!(out;
             self.user_id,
             isp_to_str(self.isp),
-            opt_f64_to_str(self.access_kbps),
+            self.access_kbps,
             self.start.as_millis(),
             self.finish.as_millis(),
             self.acquired_mb,
@@ -268,7 +258,7 @@ impl ToTsv for FetchRecord {
             self.avg_kbps,
             self.peak_kbps,
             self.rejected,
-        )
+        );
     }
 }
 
@@ -305,6 +295,12 @@ mod tests {
     use super::*;
     use odx_sim::SimDuration;
 
+    fn row(r: &impl ToTsv) -> String {
+        let mut out = Vec::new();
+        r.write_row(&mut out);
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn workload_record_round_trips() {
         let r = WorkloadRecord {
@@ -317,7 +313,7 @@ mod tests {
             source_link: "magnet:?xt=urn:btih:deadbeef".to_owned(),
             protocol: Protocol::BitTorrent,
         };
-        let parsed = WorkloadRecord::from_row(&r.to_row()).unwrap();
+        let parsed = WorkloadRecord::from_row(&row(&r)).unwrap();
         assert_eq!(parsed, r);
     }
 
@@ -333,7 +329,7 @@ mod tests {
             source_link: "http://x/y".to_owned(),
             protocol: Protocol::Http,
         };
-        let parsed = WorkloadRecord::from_row(&r.to_row()).unwrap();
+        let parsed = WorkloadRecord::from_row(&row(&r)).unwrap();
         assert_eq!(parsed.access_kbps, None);
     }
 
@@ -350,7 +346,7 @@ mod tests {
             success: false,
             failure_cause: Some(FailureCause::InsufficientSeeds),
         };
-        let parsed = PredownloadRecord::from_row(&r.to_row()).unwrap();
+        let parsed = PredownloadRecord::from_row(&row(&r)).unwrap();
         assert_eq!(parsed, r);
         assert_eq!(parsed.delay(), SimDuration::from_secs(60));
     }
@@ -369,7 +365,7 @@ mod tests {
             peak_kbps: 300.0,
             rejected: false,
         };
-        assert_eq!(FetchRecord::from_row(&r.to_row()).unwrap(), r);
+        assert_eq!(FetchRecord::from_row(&row(&r)).unwrap(), r);
     }
 
     #[test]

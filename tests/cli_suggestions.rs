@@ -57,3 +57,37 @@ fn valid_retry_policy_is_accepted() {
     assert!(stdout.contains("cache-pressure/fault=0/retry=none"), "baseline cell: {stdout}");
     assert!(stdout.contains("cache-pressure/fault=0.25/retry=expo"), "expo cell: {stdout}");
 }
+
+#[test]
+fn malformed_numeric_flags_exit_2_naming_the_flag() {
+    for (args, flag) in [
+        (&["headline", "--scale", "abc"][..], "--scale"),
+        (&["headline", "--scale", "-1"], "--scale"),
+        (&["headline", "--scale", "0"], "--scale"),
+        (&["headline", "--scale", "NaN"], "--scale"),
+        (&["headline", "--seed", "x"], "--seed"),
+        (&["sweep", "--seeds", "0"], "--seeds"),
+        (&["sweep", "--jobs", "0"], "--jobs"),
+        (&["sweep", "--jobs", "two"], "--jobs"),
+        (&["headline", "--sample", "0"], "--sample"),
+        (&["trace", "--trace-sample", "-2"], "--trace-sample"),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} is a usage error");
+        let err = stderr(&out);
+        assert!(err.contains(&format!("repro: {flag} needs")), "{args:?} names {flag}: {err}");
+        assert!(!err.contains("panicked"), "{args:?} must not panic: {err}");
+    }
+}
+
+#[test]
+fn trailing_flag_without_a_value_exits_2_naming_the_flag() {
+    for flag in
+        ["--jobs", "--scale", "--seed", "--seeds", "--sample", "--scenario", "--set", "--out"]
+    {
+        let out = repro(&["sweep", flag]);
+        assert_eq!(out.status.code(), Some(2), "`sweep {flag}` is a usage error");
+        let err = stderr(&out);
+        assert!(err.contains(&format!("repro: {flag} needs a value")), "names {flag}: {err}");
+    }
+}

@@ -2,11 +2,15 @@
 //! across worker counts and schedulers, a zero-intensity fault plan
 //! reproduces the pre-fault golden sweep exports byte for byte, and
 //! exponential backoff rescues tasks that `retry.policy=none` loses
-//! under the same fault plan.
+//! under the same fault plan, and every smart-AP replay path injects the
+//! scenario's faults.
 
-use odx::backend::ScenarioRegistry;
+use odx::backend::{Scenario, ScenarioRegistry};
+use odx::config::Json;
 use odx::faults::RetryKind;
 use odx::sweep::{resilience_variants, run_sweep, SweepSpec};
+use odx::telemetry::{Registry, TraceConfig};
+use odx::Study;
 use odx_sim::SchedulerKind;
 use proptest::prelude::*;
 
@@ -116,4 +120,35 @@ fn expo_backoff_beats_no_retry_on_cache_pressure() {
     );
     // Same seed, same plan: both cells replayed the same workload.
     assert_eq!(expo.requests, none.requests);
+}
+
+/// The traced and series smart-AP replays inject the scenario's fault
+/// plan exactly as the plain scenario replay does: on `flaky-week` the
+/// three paths give the same records, and the faults raise failures.
+#[test]
+fn every_smart_ap_path_injects_the_scenario_faults() {
+    let mut registry = ScenarioRegistry::builtin();
+    registry.load_json(include_str!("../examples/flaky-week.json")).unwrap();
+    let mut spec = registry.spec("flaky-week").expect("loaded scenario").clone();
+    spec.set_path("retry.policy", &Json::Str("none".to_owned())).unwrap();
+    let scenario = Scenario::from_spec(&spec.without_axes()).unwrap();
+    let study = Study::generate_scenario(0.01, 2015, &scenario);
+
+    let plain = study.replay_smart_aps_scenario(1000, &scenario);
+    let (traced, _) = study.replay_smart_aps_traced(1000, &scenario, &TraceConfig::full());
+    let (series, _) = study.replay_smart_aps_series(1000, &scenario, &Registry::new());
+    assert_eq!(traced.failure_ratio(), plain.failure_ratio(), "traced path");
+    assert_eq!(series.failure_ratio(), plain.failure_ratio(), "series path");
+    let records = format!("{:?}", plain.records());
+    assert_eq!(format!("{:?}", traced.records()), records);
+    assert_eq!(format!("{:?}", series.records()), records);
+
+    let calm = Scenario { faults: Default::default(), ..scenario.clone() };
+    let unfaulted = study.replay_smart_aps_scenario(1000, &calm);
+    assert!(
+        plain.failure_ratio() > unfaulted.failure_ratio(),
+        "the fault plan bites: {} vs {}",
+        plain.failure_ratio(),
+        unfaulted.failure_ratio()
+    );
 }
