@@ -81,8 +81,11 @@ diff "$SWEEP_TMP/j1/sweep.csv" "$SWEEP_TMP/j4/sweep.csv"
 echo "sweep snapshots identical"
 
 echo "== scheduler parity: heap vs timing wheel must be byte-identical =="
+# The wheel is the default; both sides are named so the check keeps
+# comparing the two schedulers whatever the default is.
 cargo run --release -p odx-bench --bin repro -- sweep \
-  --scenario all --seeds 1 --jobs 1 --scale 0.002 --out "$SWEEP_TMP/heap"
+  --scenario all --seeds 1 --jobs 1 --scale 0.002 \
+  --set sim.scheduler=heap --out "$SWEEP_TMP/heap"
 cargo run --release -p odx-bench --bin repro -- sweep \
   --scenario all --seeds 1 --jobs 1 --scale 0.002 \
   --set sim.scheduler=wheel --out "$SWEEP_TMP/wheel"
@@ -94,7 +97,7 @@ echo "== export parity: the three trace TSVs under heap vs timing wheel =="
 # export-traces replays the scenario it is given, so the scheduler
 # override reaches the exported week; its bytes must not move.
 cargo run --release -p odx-bench --bin repro -- export-traces \
-  --scale 0.01 --out "$SWEEP_TMP/export-heap" > /dev/null
+  --scale 0.01 --set sim.scheduler=heap --out "$SWEEP_TMP/export-heap" > /dev/null
 cargo run --release -p odx-bench --bin repro -- export-traces \
   --scale 0.01 --set sim.scheduler=wheel --out "$SWEEP_TMP/export-wheel" > /dev/null
 for t in workload_trace predownload_trace fetch_trace; do
@@ -113,16 +116,19 @@ echo "cache-compare snapshots identical"
 
 echo "== resilience smoke: fault grid --jobs/scheduler invariant; zero-fault cell = baseline =="
 cargo run --release -p odx-bench --bin repro -- resilience \
-  --scenario cache-pressure --seeds 1 --jobs 1 --scale 0.002 --out "$SWEEP_TMP/r1"
+  --scenario cache-pressure --seeds 1 --jobs 1 --scale 0.002 \
+  --set sim.scheduler=wheel --out "$SWEEP_TMP/r1"
 cargo run --release -p odx-bench --bin repro -- resilience \
-  --scenario cache-pressure --seeds 1 --jobs 4 --scale 0.002 --out "$SWEEP_TMP/r4"
+  --scenario cache-pressure --seeds 1 --jobs 4 --scale 0.002 \
+  --set sim.scheduler=wheel --out "$SWEEP_TMP/r4"
 diff "$SWEEP_TMP/r1/resilience.json" "$SWEEP_TMP/r4/resilience.json"
 diff "$SWEEP_TMP/r1/resilience.csv" "$SWEEP_TMP/r4/resilience.csv"
 # Swapping the future-event list must not move a byte, faults included.
 cargo run --release -p odx-bench --bin repro -- resilience \
   --scenario cache-pressure --seeds 1 --jobs 2 --scale 0.002 \
-  --set sim.scheduler=wheel --out "$SWEEP_TMP/rw"
-diff "$SWEEP_TMP/r1/resilience.json" "$SWEEP_TMP/rw/resilience.json"
+  --set sim.scheduler=heap --out "$SWEEP_TMP/rh"
+diff "$SWEEP_TMP/r1/resilience.json" "$SWEEP_TMP/rh/resilience.json"
+diff "$SWEEP_TMP/r1/resilience.csv" "$SWEEP_TMP/rh/resilience.csv"
 # The grid's zero-fault/no-retry cell must match a plain sweep of the
 # same scenario byte-for-byte (cell name aside): injection machinery off
 # is indistinguishable from injection machinery absent.

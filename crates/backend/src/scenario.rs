@@ -65,9 +65,9 @@ pub struct Scenario {
     /// The three-AP fleet used by the AP benchmark and ODR's round-robin
     /// AP assignment.
     pub ap_fleet: [ApContext; 3],
-    /// Which future-event list the DES runs on (`--set
-    /// sim.scheduler=wheel`). Purely a wall-clock knob: both schedulers
-    /// produce byte-identical exports, pinned under test.
+    /// Which future-event list the DES runs on (the timing wheel unless
+    /// `--set sim.scheduler=heap`). Purely a wall-clock knob: both
+    /// schedulers produce byte-identical exports, pinned under test.
     pub scheduler: SchedulerKind,
     /// Virtual seconds between metric-series samples (`--set
     /// telemetry.series_interval_s=60`). Only consulted by runs that
@@ -574,14 +574,14 @@ mod tests {
     }
 
     #[test]
-    fn every_preset_defaults_to_the_heap_scheduler() {
+    fn every_preset_defaults_to_the_wheel_scheduler() {
         let reg = ScenarioRegistry::builtin();
         for s in reg.all() {
-            assert_eq!(s.scheduler, SchedulerKind::Heap, "{} scheduler", s.name);
+            assert_eq!(s.scheduler, SchedulerKind::Wheel, "{} scheduler", s.name);
         }
         let mut spec = ScenarioSpec::baseline("x", "");
-        spec.sim.scheduler = "wheel".into();
-        assert_eq!(Scenario::from_spec(&spec).unwrap().scheduler, SchedulerKind::Wheel);
+        spec.sim.scheduler = "heap".into();
+        assert_eq!(Scenario::from_spec(&spec).unwrap().scheduler, SchedulerKind::Heap);
     }
 
     #[test]

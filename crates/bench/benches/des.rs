@@ -1,7 +1,7 @@
-//! DES hot-path benchmarks: event-queue churn (slab vs the preserved
-//! legacy implementation), one cloud week shard, and a full scenario × seed
-//! sweep. `ODX_BENCH_QUICK=1` (set by `ci.sh`) shrinks sample counts and
-//! scales so the suite doubles as a smoke test.
+//! DES hot-path benchmarks: event-queue churn (binary heap vs timing
+//! wheel), one cloud week shard, and a full scenario × seed sweep.
+//! `ODX_BENCH_QUICK=1` (set by `ci.sh`) shrinks sample counts and scales
+//! so the suite doubles as a smoke test.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -15,23 +15,20 @@ fn quick() -> bool {
     std::env::var_os("ODX_BENCH_QUICK").is_some()
 }
 
-/// Deterministic churn workload: schedule with LCG-drawn times, cancel
-/// ~60 % of events, pop interleaved, then drain. Mirrors the `repro bench`
-/// subcommand so criterion and BENCH_pr3.json measure the same shape.
+/// Deterministic churn workload: schedule with LCG-drawn times past the
+/// last fired one, pop after three of every four schedules, then drain.
+/// Mirrors the `repro bench` subcommand so criterion and the BENCH files
+/// measure the same shape.
 macro_rules! churn {
     ($queue:expr, $n:expr) => {{
         let mut q = $queue;
-        let mut ids = Vec::with_capacity($n);
         let mut x: u64 = 0x2545_f491_4f6c_dd1d;
         let mut pops = 0u64;
         let mut now = 0u64;
         for i in 0..$n as u64 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ids.push(q.schedule(SimTime::from_millis(now + (x >> 33) % 1_000_000), i));
-            if i % 5 != 0 && i % 5 != 3 {
-                q.cancel(ids[((x >> 20) as usize) % ids.len()]);
-            }
-            if i % 7 == 0 {
+            q.schedule(SimTime::from_millis(now + (x >> 33) % 1_000_000), i);
+            if i % 4 != 0 {
                 if let Some((t, _)) = q.pop() {
                     now = t.as_millis();
                     pops += 1;
@@ -51,11 +48,8 @@ fn bench_event_queue_churn(c: &mut Criterion) {
     let n: usize = if quick() { 10_000 } else { 50_000 };
     let mut group = c.benchmark_group("des");
     group.sample_size(if quick() { 2 } else { 10 });
-    group.bench_function("event_queue_churn_slab", |b| {
+    group.bench_function("event_queue_churn_heap", |b| {
         b.iter(|| black_box(churn!(EventQueue::with_capacity(n), n)))
-    });
-    group.bench_function("event_queue_churn_legacy", |b| {
-        b.iter(|| black_box(churn!(odx::sim::legacy::EventQueue::new(), n)))
     });
     group.bench_function("event_queue_churn_wheel", |b| {
         b.iter(|| black_box(churn!(TimingWheel::with_capacity(n), n)))
@@ -92,13 +86,13 @@ fn bench_cloud_week_shard(c: &mut Criterion) {
             })
         });
     }
-    // The same untraced shard on the timing wheel: the headline scheduler
-    // comparison criterion tracks alongside `repro bench --json`'s
-    // `full_week` section.
-    group.bench_function("cloud_week_shard_wheel", |b| {
+    // The same untraced shard on the binary heap (the shards above run on
+    // the default timing wheel): the scheduler comparison criterion
+    // tracks alongside `repro bench --json`'s `full_week` section.
+    group.bench_function("cloud_week_shard_heap", |b| {
         b.iter(|| {
             let mut scenario = Study::scenarios().get("paper-default").unwrap().clone();
-            scenario.scheduler = odx::sim::SchedulerKind::Wheel;
+            scenario.scheduler = odx::sim::SchedulerKind::Heap;
             let report = run_sweep(&SweepSpec {
                 scenarios: vec![scenario],
                 seeds: vec![2015],

@@ -1410,25 +1410,21 @@ fn profile_cmd(opts: &Options) {
 
 /// One deterministic churn workload over either event-queue implementation:
 /// `n` schedules at LCG-drawn deltas past the last fired time (monotone,
-/// as the engine requires of every world), ~60 % cancels of random
-/// earlier ids, pops interleaved every 7th op, then a full drain.
-/// Identical call sequences land on both queues — pop order is fully
-/// determined by `(time, seq)` — so the popped-event counts must agree.
+/// as the engine requires of every world), a pop after three of every
+/// four schedules, then a full drain. Identical call sequences land on
+/// both queues — pop order is fully determined by `(time, seq)` — so the
+/// popped-event counts must agree.
 macro_rules! churn {
     ($queue:expr, $n:expr) => {{
         let start = std::time::Instant::now();
         let mut q = $queue;
-        let mut ids = Vec::with_capacity($n);
         let mut x: u64 = 0x2545_f491_4f6c_dd1d;
         let mut pops = 0u64;
         let mut now = 0u64;
         for i in 0..$n as u64 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ids.push(q.schedule(odx::sim::SimTime::from_millis(now + (x >> 33) % 1_000_000), i));
-            if i % 5 != 0 && i % 5 != 3 {
-                q.cancel(ids[((x >> 20) as usize) % ids.len()]);
-            }
-            if i % 7 == 0 {
+            q.schedule(odx::sim::SimTime::from_millis(now + (x >> 33) % 1_000_000), i);
+            if i % 4 != 0 {
                 if let Some((t, _)) = q.pop() {
                     now = t.as_millis();
                     pops += 1;
@@ -1449,20 +1445,16 @@ fn bench_report(opts: &Options) {
     section("Bench — DES hot-path wall-clock report (nondeterministic)");
 
     let ops: usize = 120_000;
-    let (slab_pops, slab_secs) = churn!(odx::sim::EventQueue::with_capacity(ops), ops);
-    let (legacy_pops, legacy_secs) = churn!(odx::sim::legacy::EventQueue::new(), ops);
+    let (heap_pops, heap_secs) = churn!(odx::sim::EventQueue::with_capacity(ops), ops);
     let (wheel_pops, wheel_secs) = churn!(odx::sim::TimingWheel::with_capacity(ops), ops);
-    assert_eq!(slab_pops, legacy_pops, "both queues must fire the same events");
-    assert_eq!(slab_pops, wheel_pops, "the wheel must fire the same events");
-    let slab_eps = slab_pops as f64 / slab_secs.max(1e-9);
-    let legacy_eps = legacy_pops as f64 / legacy_secs.max(1e-9);
+    assert_eq!(heap_pops, wheel_pops, "both queues must fire the same events");
+    let heap_eps = heap_pops as f64 / heap_secs.max(1e-9);
     let wheel_eps = wheel_pops as f64 / wheel_secs.max(1e-9);
-    let speedup = slab_eps / legacy_eps;
-    println!("  event-queue churn ({ops} schedules, ~60% cancels, {slab_pops} fired):");
-    println!("    slab   queue  {slab_eps:>12.0} events/sec  ({slab_secs:.3}s)");
-    println!("    legacy queue  {legacy_eps:>12.0} events/sec  ({legacy_secs:.3}s)");
+    let churn_speedup = wheel_eps / heap_eps;
+    println!("  event-queue churn ({ops} schedules, 3 pops per 4 schedules, {heap_pops} fired):");
+    println!("    binary heap   {heap_eps:>12.0} events/sec  ({heap_secs:.3}s)");
     println!("    timing wheel  {wheel_eps:>12.0} events/sec  ({wheel_secs:.3}s)");
-    println!("    speedup {speedup:.2}x (slab vs legacy)");
+    println!("    speedup {churn_speedup:.2}x (wheel vs heap)");
 
     let shard = run_sweep(&SweepSpec {
         scenarios: vec![opts.scenario.clone()],
@@ -1584,9 +1576,9 @@ fn bench_report(opts: &Options) {
     let mut snapshots: [Option<String>; 2] = [None, None];
     let mut sim_events = 0u64;
     for _ in 0..reps {
-        // A profiled heap rep rides in the same interleaving, so its
-        // overhead ratio sees the same machine conditions as the plain
-        // replays it is compared against.
+        // A profiled rep on the scenario's scheduler rides in the same
+        // interleaving, so its overhead ratio sees the same machine
+        // conditions as the plain replays it is compared against.
         let start = std::time::Instant::now();
         let _ = study.replay_cloud_profiled(&opts.scenario, &prof_registry);
         best_prof_secs = best_prof_secs.min(start.elapsed().as_secs_f64());
@@ -1635,7 +1627,11 @@ fn bench_report(opts: &Options) {
     let prof_wall = prof_registry.snapshot().wall;
     let (prof_rows, prof_run_secs) =
         rows_from_walls(&prof_wall).expect("profiled replay flushed prof.* walls");
-    println!("  same week, per-handler wall profiler attached (heap, best of {reps}):");
+    let prof_kind = opts.scenario.scheduler;
+    println!(
+        "  same week, per-handler wall profiler attached ({}, best of {reps}):",
+        prof_kind.name()
+    );
     for line in render_rows(&prof_rows, prof_run_secs).lines() {
         println!("    {line}");
     }
@@ -1645,13 +1641,15 @@ fn bench_report(opts: &Options) {
         prof_rows.iter().find(|r| r.label == "sched.pop").map(|r| r.secs).unwrap_or(0.0);
     let handler_share = handler_secs / prof_run_secs.max(1e-9);
     let sched_share = sched_secs / prof_run_secs.max(1e-9);
-    let prof_overhead = best_prof_secs / best_secs[0].max(1e-9) - 1.0;
+    let plain_secs = best_secs[kinds.iter().position(|&k| k == prof_kind).expect("known kind")];
+    let prof_overhead = best_prof_secs / plain_secs.max(1e-9) - 1.0;
     println!(
         "    handlers {:.0}% / scheduler {:.0}% of replay wall (BENCH_pr8 inferred ~75/~25); \
-         profiler overhead {:+.1}% vs plain heap",
+         profiler overhead {:+.1}% vs plain {}",
         100.0 * handler_share,
         100.0 * sched_share,
-        100.0 * prof_overhead
+        100.0 * prof_overhead,
+        prof_kind.name()
     );
     let profile_json = format!(
         "{{\"secs\":{best_prof_secs:.3},\"run_secs\":{prof_run_secs:.3},\
@@ -1674,11 +1672,10 @@ fn bench_report(opts: &Options) {
 
     if let Some(path) = &opts.json {
         let json = format!(
-            "{{\"event_queue_churn\":{{\"schedules\":{ops},\"fired\":{slab_pops},\
-             \"slab\":{{\"secs\":{slab_secs},\"events_per_sec\":{slab_eps:.0}}},\
-             \"legacy\":{{\"secs\":{legacy_secs},\"events_per_sec\":{legacy_eps:.0}}},\
+            "{{\"event_queue_churn\":{{\"schedules\":{ops},\"fired\":{heap_pops},\
+             \"heap\":{{\"secs\":{heap_secs},\"events_per_sec\":{heap_eps:.0}}},\
              \"wheel\":{{\"secs\":{wheel_secs},\"events_per_sec\":{wheel_eps:.0}}},\
-             \"speedup\":{speedup:.2}}},\
+             \"wheel_speedup\":{churn_speedup:.2}}},\
              \"cloud_week\":{{\"scenario\":\"{}\",\"scale\":{},\"sim_events\":{},\
              \"secs\":{:.3},\"events_per_sec\":{:.0}}},\
              \"cloud_week_traced\":{{\"sample_every\":16,\"secs\":{:.3},\

@@ -127,6 +127,11 @@ impl CloudWeekBackend {
         plan
     }
 
+    /// The per-ISP upload pool fetches are admitted against.
+    pub(crate) fn upload(&self) -> &UploadPool {
+        &self.upload
+    }
+
     /// Release an admitted fetch's pool reservation.
     pub fn release(&mut self, server_isp: Isp, reserved_kbps: f64) {
         self.upload.release(server_isp, reserved_kbps);

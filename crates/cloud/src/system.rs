@@ -778,6 +778,7 @@ impl<'a> XuanfengCloud<'a> {
         sim.run_streamed(&mut arrivals);
         let final_now_ms = sim.now().as_millis();
         let mut world = sim.into_world();
+        world.check_conservation();
         world.metrics.drain(&mut world.hot);
         let lifecycle = world.lifecycle.take().map(|lifecycle| lifecycle.report());
         world.pool.finish(registry);
@@ -792,6 +793,39 @@ impl<'a> XuanfengCloud<'a> {
             series.finish(final_now_ms);
         }
         (report, lifecycle)
+    }
+
+    /// End-of-replay conservation laws, checked in release builds too: a
+    /// violation means the replay's bookkeeping drifted and its report
+    /// cannot be trusted, so it panics naming the law. O(files + ISPs),
+    /// once per replay.
+    fn check_conservation(&self) {
+        assert_eq!(
+            self.predownloads.len(),
+            self.workload.len(),
+            "conservation: one pre-download record per request"
+        );
+        assert!(
+            self.waiter_head.iter().all(|&head| head == NO_WAITER),
+            "conservation: every waiter list is empty at the end of the replay"
+        );
+        assert!(
+            self.pending_outcome.iter().all(Option::is_none),
+            "conservation: no pre-download outcome is left pending"
+        );
+        let upload = self.backend.upload();
+        assert!(
+            upload.total_in_use() <= 1e-6 * upload.total_capacity(),
+            "conservation: upload reservations return to zero ({} of {} KBps still reserved)",
+            upload.total_in_use(),
+            upload.total_capacity()
+        );
+        assert!(
+            self.pool.used_mb() <= self.pool.capacity_mb(),
+            "conservation: the pool stays within its budget ({} MB used of {} MB)",
+            self.pool.used_mb(),
+            self.pool.capacity_mb()
+        );
     }
 
     fn into_report(self) -> WeekReport {
@@ -1573,5 +1607,60 @@ mod tests {
         assert_eq!(a.counters.rejected_fetches, b.counters.rejected_fetches);
         assert_eq!(a.fetches.len(), b.fetches.len());
         assert_eq!(a.predownloads[..100], b.predownloads[..100]);
+    }
+
+    #[test]
+    fn conservation_check_names_each_violated_law() {
+        let (scale, seed) = (0.001, 130);
+        let rngs = RngFactory::new(seed);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let catalog = Catalog::generate(&CatalogConfig::scaled(scale), &mut rng);
+        let population = Population::generate(&PopulationConfig::scaled(scale), &mut rng);
+        let workload =
+            Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
+        let fresh = || {
+            XuanfengCloud::new(
+                CloudConfig::at_scale(scale),
+                &catalog,
+                &population,
+                &workload,
+                &rngs,
+            )
+        };
+        // A world holding one record per request and nothing in flight
+        // satisfies every law.
+        let settled = || {
+            let mut world = fresh();
+            for _ in 0..workload.len() {
+                world.predownloads.push(world.hit_record(SimTime::ZERO));
+            }
+            world
+        };
+        settled().check_conservation();
+        let violated = |world: XuanfengCloud| -> String {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                world.check_conservation()
+            }))
+            .expect_err("the check must fail");
+            match err.downcast::<String>() {
+                Ok(message) => *message,
+                Err(err) => err.downcast_ref::<&str>().map(|m| m.to_string()).unwrap_or_default(),
+            }
+        };
+        assert!(violated(fresh()).contains("one pre-download record per request"));
+        let mut world = settled();
+        world.waiter_head[0] = 0;
+        assert!(violated(world).contains("every waiter list is empty"));
+        let mut world = settled();
+        world.pending_outcome[0] = Some(PredownloadOutcome::Success {
+            rate_kbps: 1.0,
+            duration: SimDuration::from_secs(1),
+            traffic_mb: 1.0,
+        });
+        assert!(violated(world).contains("no pre-download outcome is left pending"));
+        let mut world = settled();
+        let plan = world.backend.plan_fetch(population.user(0));
+        assert!(plan.admission.server_isp().is_some(), "an idle pool admits the fetch");
+        assert!(violated(world).contains("upload reservations return to zero"));
     }
 }

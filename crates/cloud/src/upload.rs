@@ -86,6 +86,11 @@ impl UploadPool {
         Isp::MAJORS.iter().map(|&i| self.headroom(i)).sum()
     }
 
+    /// Total capacity across the four ISP pools (KBps).
+    pub(crate) fn total_capacity(&self) -> f64 {
+        self.capacity.iter().sum()
+    }
+
     /// Total capacity in use (KBps) — the Fig 11 burden at this instant.
     pub fn total_in_use(&self) -> f64 {
         self.in_use.iter().sum()

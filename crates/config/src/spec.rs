@@ -54,9 +54,9 @@ pub struct CacheSpec {
 /// Engine-layer knobs (which future-event list the DES runs on).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSpec {
-    /// Scheduler name (`heap`, `wheel` — validated by the resolver, which
-    /// owns the scheduler vocabulary). Both produce byte-identical runs;
-    /// they differ only in wall-clock cost.
+    /// Scheduler name (`wheel` by default, or `heap` — validated by the
+    /// resolver, which owns the scheduler vocabulary). Both produce
+    /// byte-identical runs; they differ only in wall-clock cost.
     pub scheduler: String,
 }
 
@@ -239,7 +239,7 @@ impl ScenarioSpec {
                 ApSpec::new("miwifi", "sata-hdd", "ext4"),
                 ApSpec::new("newifi", "usb-flash", "ntfs"),
             ],
-            sim: SimSpec { scheduler: "heap".into() },
+            sim: SimSpec { scheduler: "wheel".into() },
             telemetry: TelemetrySpec { series_interval_s: 3600.0 },
             axes: BTreeMap::new(),
         }
@@ -663,7 +663,7 @@ mod tests {
                 "cache_enabled" | "privileged_paths" => Json::Bool(false),
                 "cache.policy" => Json::Str("gdsf".into()),
                 "cache.shards" => Json::Num(4.0),
-                "sim.scheduler" => Json::Str("wheel".into()),
+                "sim.scheduler" => Json::Str("heap".into()),
                 "cernet_share" => Json::Num(0.25),
                 "retry.policy" => Json::Str("expo".into()),
                 "retry.max_attempts" => Json::Num(2.0),

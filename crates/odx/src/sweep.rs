@@ -515,12 +515,14 @@ mod tests {
         let par = parallel.series().expect("series were recorded");
         assert_eq!(seq.to_json(), par.to_json(), "series JSON must be jobs-invariant");
         assert_eq!(seq.to_csv(), par.to_csv(), "series CSV must be jobs-invariant");
-        // Swapping the future-event list never changes a single byte.
+        // Swapping the future-event list (presets run on the wheel) never
+        // changes a single byte.
         for s in &mut spec.scenarios {
-            s.scheduler = SchedulerKind::Wheel;
+            assert_eq!(s.scheduler, SchedulerKind::Wheel);
+            s.scheduler = SchedulerKind::Heap;
         }
-        let wheel = run_sweep(&spec).series().expect("series were recorded");
-        assert_eq!(seq.to_json(), wheel.to_json(), "scheduler must not leak into the series");
+        let heap = run_sweep(&spec).series().expect("series were recorded");
+        assert_eq!(seq.to_json(), heap.to_json(), "scheduler must not leak into the series");
         // The golden-pinned sweep exports are untouched by recording.
         let silent = run_sweep(&tiny_spec(2));
         assert_eq!(sequential.to_json(), silent.to_json());

@@ -4,7 +4,6 @@
 
 use std::time::Instant;
 
-use crate::event::EventId;
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::{Scheduler, SchedulerKind};
 use odx_telemetry::{Counter, FlightRecorder, Gauge, HandlerProfiler, Registry, SeriesRecorder};
@@ -53,7 +52,7 @@ pub trait World {
 }
 
 /// Scheduling context handed to event handlers: the current time plus the
-/// ability to schedule and cancel future events.
+/// ability to schedule future events.
 pub struct Ctx<'a, E> {
     now: SimTime,
     queue: &'a mut Scheduler<E>,
@@ -66,20 +65,15 @@ impl<E> Ctx<'_, E> {
     }
 
     /// Schedule an event `delay` from now.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventId {
-        self.queue.schedule(self.now + delay, event)
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
+        self.queue.schedule(self.now + delay, event);
     }
 
     /// Schedule an event at an absolute time. Times in the past are clamped
     /// to "now" (the event still fires, after currently pending events at
     /// `now`).
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
-        self.queue.schedule(at.max(self.now), event)
-    }
-
-    /// Cancel a pending event.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        self.queue.schedule(at.max(self.now), event);
     }
 }
 
@@ -124,15 +118,15 @@ pub struct Simulation<W: World> {
 
 impl<W: World> Simulation<W> {
     /// Create a simulation at time zero with an empty agenda, on the
-    /// default (slab-heap) scheduler.
+    /// default (timing-wheel) scheduler.
     pub fn new(world: W) -> Self {
         Self::with_scheduler(world, SchedulerKind::default(), 0)
     }
 
-    /// Like [`Simulation::new`], but with the event queue's heap and slab
-    /// preallocated for `capacity` concurrently pending events. Replays
-    /// that schedule their whole workload up front size this to the
-    /// workload so the hot loop never reallocates.
+    /// Like [`Simulation::new`], but with the scheduler preallocated for
+    /// `capacity` concurrently pending events. Replays that schedule their
+    /// whole workload up front size this to the workload so the hot loop
+    /// never reallocates.
     pub fn with_capacity(world: W, capacity: usize) -> Self {
         Self::with_scheduler(world, SchedulerKind::default(), capacity)
     }
@@ -236,13 +230,13 @@ impl<W: World> Simulation<W> {
     }
 
     /// Schedule an event at an absolute time (setup entry point).
-    pub fn schedule_at(&mut self, at: SimTime, event: W::Event) -> EventId {
-        self.queue.schedule(at.max(self.now), event)
+    pub fn schedule_at(&mut self, at: SimTime, event: W::Event) {
+        self.queue.schedule(at.max(self.now), event);
     }
 
     /// Schedule an event `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: W::Event) -> EventId {
-        self.queue.schedule(self.now + delay, event)
+    pub fn schedule_in(&mut self, delay: SimDuration, event: W::Event) {
+        self.queue.schedule(self.now + delay, event);
     }
 
     /// Process a single event, if any. Returns whether an event fired.

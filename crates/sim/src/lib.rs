@@ -9,15 +9,15 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a virtual clock with millisecond
 //!   resolution (a simulated week is ~6×10⁸ ms, far inside `u64`).
-//! * [`EventQueue`] / [`Simulation`] — a binary-heap scheduler with a stable
-//!   FIFO tie-break so runs are bit-for-bit reproducible. Payloads live in a
-//!   generation-stamped slab, so cancellation is an O(1) array write and the
-//!   pop loop never hashes ([`legacy`] preserves the old `HashSet` design as
-//!   a benchmark baseline).
-//! * [`TimingWheel`] / [`Scheduler`] — a hierarchical timing wheel with O(1)
-//!   schedule that reproduces the heap's exact `(time, seq)` pop order, and
-//!   the enum that lets simulations pick either implementation at run time
-//!   (`--set sim.scheduler=wheel`).
+//! * [`TimingWheel`] / [`Simulation`] — a five-level hierarchical timing
+//!   wheel, the default scheduler: O(1) schedule, amortised O(1) pop, and a
+//!   strict `(time, seq)` pop order (same-timestamp events fire in
+//!   scheduling order), so runs are bit-for-bit reproducible.
+//! * [`EventQueue`] / [`Scheduler`] — a binary heap with the same contract,
+//!   kept as the reference the wheel is checked against, and the enum that
+//!   lets a simulation pick either at run time (`--set sim.scheduler=heap`
+//!   replays byte-identically). Every scheduled event fires exactly once:
+//!   there are no handles and no cancellation.
 //! * [`ArrivalSource`] / [`Simulation::run_streamed`] — just-in-time chunk
 //!   admission, so full-scale replays never materialize millions of arrival
 //!   events in the queue up front.
@@ -60,7 +60,6 @@
 
 mod engine;
 mod event;
-mod event_legacy;
 pub mod fluid;
 mod fxhash;
 mod rng;
@@ -70,17 +69,10 @@ mod token_bucket;
 mod wheel;
 
 pub use engine::{ArrivalSource, Ctx, Simulation, World};
-pub use event::{EventId, EventQueue};
+pub use event::EventQueue;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use wheel::{Scheduler, SchedulerKind, TimingWheel};
-
-/// The pre-slab event queue, kept in-tree as a benchmark/regression
-/// baseline — see [`legacy::EventQueue`] for why it must not be used in
-/// new code.
-pub mod legacy {
-    pub use crate::event_legacy::{EventId, EventQueue};
-}
 pub use rng::{named_seed, RngFactory, SimRng};
 pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime};
 pub use token_bucket::TokenBucket;
+pub use wheel::{Scheduler, SchedulerKind, TimingWheel};

@@ -24,70 +24,6 @@ proptest! {
         }
     }
 
-    /// Cancelled events never pop; everything else does, exactly once.
-    #[test]
-    fn cancellation_is_exact(
-        n in 1usize..100,
-        cancel_mask in prop::collection::vec(any::<bool>(), 100),
-    ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = (0..n).map(|i| q.schedule(SimTime::from_millis((i % 13) as u64), i)).collect();
-        let mut expect: Vec<usize> = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            if cancel_mask[i] {
-                q.cancel(*id);
-            } else {
-                expect.push(i);
-            }
-        }
-        let mut popped: Vec<usize> = Vec::new();
-        while let Some((_, i)) = q.pop() {
-            popped.push(i);
-        }
-        popped.sort_unstable();
-        expect.sort_unstable();
-        prop_assert_eq!(popped, expect);
-    }
-
-    /// The slab queue pops the exact sequence the pre-slab (legacy) queue
-    /// did, under cancel-heavy churn (≥50 % of events cancelled) with pops
-    /// interleaved — the legacy implementation is the behavioural oracle
-    /// for everything except its preserved cancel-after-fire bug.
-    #[test]
-    fn slab_queue_matches_legacy_oracle_under_churn(
-        times in prop::collection::vec(0u64..5_000, 1..300),
-        cancels in prop::collection::vec(any::<bool>(), 300),
-        pop_every in 2usize..9,
-    ) {
-        let mut slab = EventQueue::new();
-        let mut legacy = odx_sim::legacy::EventQueue::new();
-        let mut slab_ids = Vec::new();
-        let mut legacy_ids = Vec::new();
-        for (i, &t) in times.iter().enumerate() {
-            let at = SimTime::from_millis(t);
-            slab_ids.push(slab.schedule(at, i));
-            legacy_ids.push(legacy.schedule(at, i));
-            // Cancel-heavy: the mask plus this unconditional arm cancels
-            // well over half of all scheduled events.
-            if cancels[i] || i % 2 == 0 {
-                let victim = (i * 7 + 3) % slab_ids.len();
-                slab.cancel(slab_ids[victim]);
-                legacy.cancel(legacy_ids[victim]);
-            }
-            if i % pop_every == 0 {
-                prop_assert_eq!(slab.pop(), legacy.pop());
-            }
-        }
-        loop {
-            let (a, b) = (slab.pop(), legacy.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        prop_assert!(slab.is_empty());
-    }
-
     /// Max–min fairness: (1) no link exceeds capacity; (2) no flow exceeds
     /// its cap; (3) every flow is pinned by its cap or by a saturated link.
     #[test]
