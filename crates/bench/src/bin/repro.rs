@@ -1545,7 +1545,8 @@ fn bench_report(opts: &Options) {
             cache_json.push(',');
         }
         cache_json.push_str(&format!(
-            "\"{}\":{{\"secs\":{secs:.3},\"ops_per_sec\":{ops_per_sec:.0},             \"hits\":{hits},\"evictions\":{evictions}}}",
+            "\"{}\":{{\"secs\":{secs:.3},\"ops_per_sec\":{ops_per_sec:.0},\
+             \"hits\":{hits},\"evictions\":{evictions}}}",
             policy.name()
         ));
     }

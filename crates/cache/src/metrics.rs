@@ -2,13 +2,11 @@
 //!
 //! Counters (`hit`, `miss`, `eviction`) tick as the replay runs; the
 //! occupancy and hit-ratio gauges are written once by [`finish`] so the
-//! snapshot reflects end-of-run state. Counter handles are plain `Arc`s
-//! into a [`Registry`], so the same pattern as the cloud's `CloudMetrics`
-//! applies: bind to the global registry on construction, [`rebind`] to a
-//! private one per replay.
+//! snapshot reflects end-of-run state. The counters are bound once, to the
+//! replay's [`Registry`], when the policy is wrapped; whatever the policy
+//! did before (the cloud's warm-up inserts) is not counted.
 //!
 //! [`finish`]: InstrumentedCache::finish
-//! [`rebind`]: InstrumentedCache::rebind
 
 use odx_telemetry::{Counter, Registry};
 
@@ -38,16 +36,6 @@ impl InstrumentedCache {
     /// Which policy runs underneath.
     pub fn kind(&self) -> PolicyKind {
         self.inner.kind()
-    }
-
-    /// Re-bind the counters into `registry` (used when a replay swaps the
-    /// global registry for a private per-run one; counts restart from the
-    /// registry's current values).
-    pub fn rebind(&mut self, registry: &Registry) {
-        let name = self.inner.kind().name();
-        self.hits = registry.counter(&format!("cache.{name}.hit"));
-        self.misses = registry.counter(&format!("cache.{name}.miss"));
-        self.evictions = registry.counter(&format!("cache.{name}.eviction"));
     }
 
     /// Write the end-of-run gauges: `cache.<policy>.bytes_mb` (occupancy)
@@ -133,18 +121,6 @@ mod tests {
         assert_eq!(registry.counter("cache.lru.eviction").get(), 1);
         assert_eq!(registry.gauge("cache.lru.bytes_mb").get(), 20.0);
         assert_eq!(registry.gauge("cache.lru.hit_ratio").get(), 0.5);
-    }
-
-    #[test]
-    fn rebind_switches_registries() {
-        let a = Registry::new();
-        let b = Registry::new();
-        let mut c = InstrumentedCache::new(CacheConfig::default().build(20.0, 4), &a);
-        c.lookup(1, 0);
-        c.rebind(&b);
-        c.lookup(1, 0);
-        assert_eq!(a.counter("cache.lru.miss").get(), 1);
-        assert_eq!(b.counter("cache.lru.miss").get(), 1);
     }
 
     #[test]

@@ -42,6 +42,23 @@ impl UploadMetrics {
             reject: registry.counter("cloud.upload.reject"),
         }
     }
+
+    /// Count one admission decision: an admit for the serving major ISP
+    /// (plus a cross-ISP flow when the plan crossed the barrier), or a
+    /// rejection.
+    fn record(&self, plan: &FetchPlan) {
+        match plan.admission.server_isp() {
+            Some(isp) => {
+                if let Some(i) = isp.major_index() {
+                    self.admit[i].inc();
+                }
+                if plan.crossed_barrier {
+                    self.cross_isp.inc();
+                }
+            }
+            None => self.reject.inc(),
+        }
+    }
 }
 
 /// The cloud mechanism behind the week replay: pre-download VMs, the per-ISP
@@ -60,9 +77,9 @@ pub struct CloudWeekBackend {
 
 impl CloudWeekBackend {
     /// Build the backend from the cloud config, drawing its `cloud-source`
-    /// and `cloud-fetch` streams from `rngs`. Metric handles point at the
-    /// process-wide registry until [`CloudWeekBackend::rebind_metrics`].
-    pub fn new(cfg: &CloudConfig, rngs: &RngFactory) -> Self {
+    /// and `cloud-fetch` streams from `rngs`; its `cloud.upload.*` and
+    /// `backend.cloud.*` metrics land in `registry`.
+    pub fn new(cfg: &CloudConfig, rngs: &RngFactory, registry: &Registry) -> Self {
         CloudWeekBackend {
             predl: PredownloadModel::new(SwarmModel::default(), HttpFtpModel::default(), cfg),
             fetch: FetchModel::new(cfg),
@@ -75,16 +92,9 @@ impl CloudWeekBackend {
             rng_fetch: rngs.stream("cloud-fetch"),
             privileged_paths: cfg.privileged_paths_enabled,
             retry_decay: cfg.retry_decay,
-            upload_metrics: UploadMetrics::new(odx_telemetry::global()),
-            metrics: BackendMetrics::global("cloud"),
+            upload_metrics: UploadMetrics::new(registry),
+            metrics: BackendMetrics::new(registry, "cloud"),
         }
-    }
-
-    /// Re-resolve every metric handle against `registry` (fresh-registry
-    /// replays need byte-identical snapshots across same-seed runs).
-    pub fn rebind_metrics(&mut self, registry: &Registry) {
-        self.upload_metrics = UploadMetrics::new(registry);
-        self.metrics = BackendMetrics::new(registry, "cloud");
     }
 
     /// One VM pre-download attempt for `file` with `prior` failed attempts
@@ -110,19 +120,9 @@ impl CloudWeekBackend {
         let plan_isp = if self.privileged_paths { user.isp } else { Isp::Other };
         let plan_user = User { isp: plan_isp, ..*user };
         let plan = self.fetch.plan(&plan_user, &mut self.upload, &mut self.rng_fetch);
-        match plan.admission.server_isp() {
-            Some(isp) => {
-                if let Some(i) = isp.major_index() {
-                    self.upload_metrics.admit[i].inc();
-                }
-                if plan.crossed_barrier {
-                    self.upload_metrics.cross_isp.inc();
-                }
-            }
-            None => {
-                self.upload_metrics.reject.inc();
-                self.metrics.record(&Outcome::failure(None));
-            }
+        self.upload_metrics.record(&plan);
+        if plan.admission.server_isp().is_none() {
+            self.metrics.record(&Outcome::failure(None));
         }
         plan
     }
@@ -200,17 +200,9 @@ impl ProxyBackend for CloudWeekBackend {
         let plan_isp = if self.privileged_paths { req.isp } else { Isp::Other };
         let user = User { isp: plan_isp, access_kbps: req.access_kbps, reports_bandwidth: true };
         let plan = self.fetch.plan(&user, &mut self.upload, ctx.rng);
-        match plan.admission.server_isp() {
-            Some(isp) => {
-                if let Some(i) = isp.major_index() {
-                    self.upload_metrics.admit[i].inc();
-                }
-                if plan.crossed_barrier {
-                    self.upload_metrics.cross_isp.inc();
-                }
-                self.upload.release(isp, plan.admission.rate_kbps());
-            }
-            None => self.upload_metrics.reject.inc(),
+        self.upload_metrics.record(&plan);
+        if let Some(isp) = plan.admission.server_isp() {
+            self.upload.release(isp, plan.admission.rate_kbps());
         }
         if plan.rate_kbps <= 0.0 {
             let mut out = Outcome::failure(None);
@@ -254,7 +246,8 @@ mod tests {
     #[test]
     fn one_shot_execute_fills_cloud_leg() {
         let rngs = RngFactory::new(42);
-        let mut backend = CloudWeekBackend::new(&CloudConfig::at_scale(0.01), &rngs);
+        let mut backend =
+            CloudWeekBackend::new(&CloudConfig::at_scale(0.01), &rngs, &Registry::new());
         let mut cloud = CloudContentState::new();
         let mut rng = rngs.stream("test");
         let mut successes = 0;
@@ -274,7 +267,8 @@ mod tests {
     #[test]
     fn uncached_requests_pay_the_predownload() {
         let rngs = RngFactory::new(43);
-        let mut backend = CloudWeekBackend::new(&CloudConfig::at_scale(0.01), &rngs);
+        let mut backend =
+            CloudWeekBackend::new(&CloudConfig::at_scale(0.01), &rngs, &Registry::new());
         let mut cloud = CloudContentState::new();
         let mut rng = rngs.stream("test");
         let mut ctx = ExecCtx { rng: &mut rng, cloud: &mut cloud };
@@ -292,7 +286,7 @@ mod tests {
         let rngs = RngFactory::new(44);
         let mut cfg = CloudConfig::at_scale(0.01);
         cfg.privileged_paths_enabled = false;
-        let mut backend = CloudWeekBackend::new(&cfg, &rngs);
+        let mut backend = CloudWeekBackend::new(&cfg, &rngs, &Registry::new());
         let user = User { isp: Isp::Telecom, access_kbps: 2000.0, reports_bandwidth: true };
         let mut crossed = 0;
         for _ in 0..100 {
@@ -308,11 +302,10 @@ mod tests {
     }
 
     #[test]
-    fn rebind_metrics_points_at_the_fresh_registry() {
+    fn metrics_land_in_the_registry_given_at_construction() {
         let rngs = RngFactory::new(45);
-        let mut backend = CloudWeekBackend::new(&CloudConfig::at_scale(0.01), &rngs);
         let registry = Registry::new();
-        backend.rebind_metrics(&registry);
+        let mut backend = CloudWeekBackend::new(&CloudConfig::at_scale(0.01), &rngs, &registry);
         backend.note_fetched(500.0, 10.0);
         let snap = registry.snapshot();
         assert_eq!(snap.counters["backend.cloud.requests"], 1);

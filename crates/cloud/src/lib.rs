@@ -42,5 +42,5 @@ pub use content_db::{ContentDb, FileState};
 pub use fetch::{FetchModel, FetchPlan};
 pub use odx_cache::{CacheConfig, PolicyKind};
 pub use predownload::{PredownloadModel, PredownloadOutcome};
-pub use system::{Counters, Observers, WeekReport, XuanfengCloud};
+pub use system::{CounterMetric, Counters, Observers, WeekReport, XuanfengCloud};
 pub use upload::{Admission, UploadPool};

@@ -14,8 +14,7 @@ use odx_sim::{
 use odx_stats::dist::u01;
 use odx_stats::{BinnedSeries, Ecdf};
 use odx_telemetry::{
-    Counter, Gauge, Histogram, HistogramHandle, Lifecycle, LifecycleReport, Registry,
-    SeriesRecorder, Stage, TaskEnd, TraceConfig,
+    Histogram, Lifecycle, LifecycleReport, Registry, SeriesRecorder, Stage, TaskEnd, TraceConfig,
 };
 use odx_trace::records::{FetchRecord, PredownloadRecord};
 use odx_trace::{Catalog, PopularityClass, Population, Request, Workload};
@@ -53,17 +52,38 @@ impl EndToEnd {
     }
 }
 
-/// Aggregate counters of the replay.
+/// The replay's one tally. Every cloud count the run reports — the
+/// registry's `cloud.*` counters (through [`Counters::METRICS`]), the
+/// series samples, the ratio gauges and [`WeekReport::counters`] — is a
+/// field here or derived from fields, and each event bumps it once with a
+/// plain add. Warm-up inserts happen before the replay and are not
+/// counted, here or in any registry.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Counters {
     /// Requests processed.
     pub requests: u64,
-    /// Requests satisfied directly from the pool (or an in-flight
-    /// pre-download another user started).
-    pub cache_hits: u64,
-    /// Requests whose pre-download failed.
-    pub predownload_failures: u64,
-    /// Failures by cause: [insufficient seeds, poor connection, system bug].
+    /// Arrivals that found the file in the pool or its pre-download
+    /// already in flight (`cloud.cache.hit`). Joiners of a pre-download
+    /// that later fails count here too; [`Counters::cache_hits`] leaves
+    /// them out.
+    pub arrival_hits: u64,
+    /// Arrivals that found the file neither cached nor in flight and
+    /// dispatched its pre-download (`cloud.cache.miss`).
+    pub misses: u64,
+    /// Arrivals that joined another user's in-flight pre-download
+    /// (`cloud.dedup.joined`); a subset of `arrival_hits`.
+    pub dedup_joins: u64,
+    /// Joiners whose shared pre-download failed: arrival hits that were
+    /// never served.
+    pub failed_joins: u64,
+    /// Pre-download attempts that succeeded (`cloud.predownload.success`).
+    pub predownload_successes: u64,
+    /// Pre-download attempts abandoned by the stagnation timeout, retried
+    /// ones included (`cloud.predownload.stagnation`).
+    pub stagnations: u64,
+    /// Requests failed by their pre-download, by cause, indexed by
+    /// `FailureCause as usize`: [insufficient seeds, poor connection,
+    /// system bug].
     pub failures_by_cause: [u64; 3],
     /// Fetch requests rejected by the upload pool.
     pub rejected_fetches: u64,
@@ -98,6 +118,66 @@ pub struct Counters {
     pub retry_exhausted: u64,
 }
 
+/// A registry counter name and how its value reads off the tally.
+pub type CounterMetric = (&'static str, fn(&Counters) -> u64);
+
+/// Gauge names of [`Counters::ratios`], in its order.
+const RATIO_GAUGES: [&str; 4] =
+    ["cloud.hit_ratio", "cloud.failure_ratio", "cloud.rejection_ratio", "cloud.impeded_ratio"];
+
+impl Counters {
+    /// The registry's `cloud.*` replay counters and how each reads off the
+    /// tally. The drain, the series registration and the tests all walk
+    /// this one table. (`cloud.upload.*` are counted by the backend, which
+    /// also serves one-shot requests.)
+    pub const METRICS: [CounterMetric; 18] = [
+        ("cloud.requests", |c| c.requests),
+        ("cloud.cache.hit", |c| c.arrival_hits),
+        ("cloud.cache.miss", |c| c.misses),
+        ("cloud.dedup.joined", |c| c.dedup_joins),
+        ("cloud.predownload.success", |c| c.predownload_successes),
+        ("cloud.predownload.stagnation", |c| c.stagnations),
+        ("cloud.predownload.fail.seeds", |c| c.failures_by_cause[0]),
+        ("cloud.predownload.fail.connection", |c| c.failures_by_cause[1]),
+        ("cloud.predownload.fail.bug", |c| c.failures_by_cause[2]),
+        ("cloud.fetch.completed", |c| c.completed_fetches),
+        ("cloud.fetch.impeded", |c| c.impeded_fetches),
+        ("cloud.fault.window", |c| c.fault_windows),
+        ("cloud.fault.predownload.forced", |c| c.fault_forced_failures),
+        ("cloud.fault.predownload.slowed", |c| c.fault_slowed_predownloads),
+        ("cloud.fault.fetch.degraded", |c| c.fault_degraded_fetches),
+        ("cloud.retry.attempt", |c| c.retry_attempts),
+        ("cloud.retry.rescued", |c| c.retry_rescued),
+        ("cloud.retry.exhausted", |c| c.retry_exhausted),
+    ];
+
+    /// Requests served from the pool or by a shared pre-download that
+    /// succeeded: arrival hits minus failed joins.
+    pub fn cache_hits(&self) -> u64 {
+        self.arrival_hits - self.failed_joins
+    }
+
+    /// Requests whose pre-download failed, over all causes.
+    pub fn predownload_failures(&self) -> u64 {
+        self.failures_by_cause.iter().sum()
+    }
+
+    /// The headline ratios (`cloud.hit_ratio`, `cloud.failure_ratio`,
+    /// `cloud.rejection_ratio`, `cloud.impeded_ratio`): hits and failures
+    /// over requests, rejected and impeded fetches over fetch attempts
+    /// (completed plus rejected — one fetch record each).
+    pub fn ratios(&self) -> [f64; 4] {
+        let requests = self.requests.max(1) as f64;
+        let attempts = (self.completed_fetches + self.rejected_fetches).max(1) as f64;
+        [
+            self.cache_hits() as f64 / requests,
+            self.predownload_failures() as f64 / requests,
+            self.rejected_fetches as f64 / attempts,
+            self.impeded_fetches as f64 / attempts,
+        ]
+    }
+}
+
 /// Everything the week replay produces.
 #[derive(Debug)]
 pub struct WeekReport {
@@ -119,26 +199,25 @@ pub struct WeekReport {
 }
 
 impl WeekReport {
-    /// Cache-hit ratio over all requests (§2.1: 89 %).
+    /// Cache-hit ratio over all requests (§2.1: 89 %); joiners of failed
+    /// pre-downloads are not hits.
     pub fn hit_ratio(&self) -> f64 {
-        self.counters.cache_hits as f64 / self.counters.requests.max(1) as f64
+        self.counters.ratios()[0]
     }
 
     /// Per-request pre-download failure ratio (§4.1: 8.7 %).
     pub fn failure_ratio(&self) -> f64 {
-        self.counters.predownload_failures as f64 / self.counters.requests.max(1) as f64
+        self.counters.ratios()[1]
     }
 
     /// Fraction of fetch attempts rejected (§4.2: 1.5 %).
     pub fn rejection_ratio(&self) -> f64 {
-        let attempts = self.fetches.len().max(1);
-        self.counters.rejected_fetches as f64 / attempts as f64
+        self.counters.ratios()[2]
     }
 
     /// Fraction of fetches below the HD threshold (§4.2: 28 %).
     pub fn impeded_ratio(&self) -> f64 {
-        let attempts = self.fetches.len().max(1);
-        self.counters.impeded_fetches as f64 / attempts as f64
+        self.counters.ratios()[3]
     }
 
     /// Pre-download speed ECDF over cache misses (failures contribute ~0),
@@ -283,126 +362,6 @@ impl ArrivalSource<Ev> for ArrivalChunks<'_> {
     }
 }
 
-/// Cached telemetry handles for the cloud replay. Handles are resolved
-/// once at world construction so the per-event cost is an atomic add,
-/// not a name lookup.
-struct CloudMetrics {
-    requests: Counter,
-    cache_hit: Counter,
-    cache_miss: Counter,
-    dedup_joined: Counter,
-    predownload_success: Counter,
-    predownload_stagnation: Counter,
-    failures_by_cause: [Counter; 3],
-    fetch_completed: Counter,
-    fetch_impeded: Counter,
-    fault_window: Counter,
-    fault_predownload_forced: Counter,
-    fault_predownload_slowed: Counter,
-    fault_fetch_degraded: Counter,
-    retry_attempt: Counter,
-    retry_rescued: Counter,
-    retry_exhausted: Counter,
-    fetch_rate_kbps: HistogramHandle,
-    predownload_delay_ms: HistogramHandle,
-    // Headline ratio gauges, also refreshed at every series sample so
-    // mid-run curves show the pool warming (the paper's Fig-shaped
-    // evolution), not just the end-of-week value.
-    hit_ratio: Gauge,
-    failure_ratio: Gauge,
-    rejection_ratio: Gauge,
-    impeded_ratio: Gauge,
-}
-
-/// Hot-path mirrors of the registry metrics: plain integers and local
-/// histograms bumped by the event handler and flushed to the shared
-/// handles once per replay, so the per-event cost is an add — no `Arc`
-/// chase, no atomic RMW, no mutex. The flush is exact (counter totals
-/// and the integral histogram merge), so the final snapshot is
-/// byte-identical to per-event recording.
-#[derive(Default)]
-struct HotMetrics {
-    requests: u64,
-    cache_hit: u64,
-    cache_miss: u64,
-    dedup_joined: u64,
-    predownload_success: u64,
-    predownload_stagnation: u64,
-    failures_by_cause: [u64; 3],
-    fetch_completed: u64,
-    fetch_impeded: u64,
-    fault_window: u64,
-    fault_predownload_forced: u64,
-    fault_predownload_slowed: u64,
-    fault_fetch_degraded: u64,
-    retry_attempt: u64,
-    retry_rescued: u64,
-    retry_exhausted: u64,
-    fetch_rate_kbps: Histogram,
-    predownload_delay_ms: Histogram,
-}
-
-impl CloudMetrics {
-    fn new(registry: &Registry) -> CloudMetrics {
-        CloudMetrics {
-            requests: registry.counter("cloud.requests"),
-            cache_hit: registry.counter("cloud.cache.hit"),
-            cache_miss: registry.counter("cloud.cache.miss"),
-            dedup_joined: registry.counter("cloud.dedup.joined"),
-            predownload_success: registry.counter("cloud.predownload.success"),
-            predownload_stagnation: registry.counter("cloud.predownload.stagnation"),
-            failures_by_cause: [
-                registry.counter("cloud.predownload.fail.seeds"),
-                registry.counter("cloud.predownload.fail.connection"),
-                registry.counter("cloud.predownload.fail.bug"),
-            ],
-            fetch_completed: registry.counter("cloud.fetch.completed"),
-            fetch_impeded: registry.counter("cloud.fetch.impeded"),
-            fault_window: registry.counter("cloud.fault.window"),
-            fault_predownload_forced: registry.counter("cloud.fault.predownload.forced"),
-            fault_predownload_slowed: registry.counter("cloud.fault.predownload.slowed"),
-            fault_fetch_degraded: registry.counter("cloud.fault.fetch.degraded"),
-            retry_attempt: registry.counter("cloud.retry.attempt"),
-            retry_rescued: registry.counter("cloud.retry.rescued"),
-            retry_exhausted: registry.counter("cloud.retry.exhausted"),
-            fetch_rate_kbps: registry.histogram("cloud.fetch.rate_kbps"),
-            predownload_delay_ms: registry.histogram("cloud.predownload.delay_ms"),
-            hit_ratio: registry.gauge("cloud.hit_ratio"),
-            failure_ratio: registry.gauge("cloud.failure_ratio"),
-            rejection_ratio: registry.gauge("cloud.rejection_ratio"),
-            impeded_ratio: registry.gauge("cloud.impeded_ratio"),
-        }
-    }
-
-    /// Drain the accumulated hot-path tallies into the shared handles
-    /// (see [`HotMetrics`]), leaving the batch empty. Draining (rather
-    /// than adding and keeping) lets mid-run series samples flush the
-    /// same batch repeatedly without double-counting; the end-of-run
-    /// call just pushes whatever accumulated since the last sample.
-    fn drain(&self, hot: &mut HotMetrics) {
-        self.requests.add(std::mem::take(&mut hot.requests));
-        self.cache_hit.add(std::mem::take(&mut hot.cache_hit));
-        self.cache_miss.add(std::mem::take(&mut hot.cache_miss));
-        self.dedup_joined.add(std::mem::take(&mut hot.dedup_joined));
-        self.predownload_success.add(std::mem::take(&mut hot.predownload_success));
-        self.predownload_stagnation.add(std::mem::take(&mut hot.predownload_stagnation));
-        for (handle, n) in self.failures_by_cause.iter().zip(&mut hot.failures_by_cause) {
-            handle.add(std::mem::take(n));
-        }
-        self.fetch_completed.add(std::mem::take(&mut hot.fetch_completed));
-        self.fetch_impeded.add(std::mem::take(&mut hot.fetch_impeded));
-        self.fault_window.add(std::mem::take(&mut hot.fault_window));
-        self.fault_predownload_forced.add(std::mem::take(&mut hot.fault_predownload_forced));
-        self.fault_predownload_slowed.add(std::mem::take(&mut hot.fault_predownload_slowed));
-        self.fault_fetch_degraded.add(std::mem::take(&mut hot.fault_fetch_degraded));
-        self.retry_attempt.add(std::mem::take(&mut hot.retry_attempt));
-        self.retry_rescued.add(std::mem::take(&mut hot.retry_rescued));
-        self.retry_exhausted.add(std::mem::take(&mut hot.retry_exhausted));
-        self.fetch_rate_kbps.merge(&std::mem::take(&mut hot.fetch_rate_kbps));
-        self.predownload_delay_ms.merge(&std::mem::take(&mut hot.predownload_delay_ms));
-    }
-}
-
 /// Optional observers for a cloud replay: any combination of per-task
 /// lifecycle tracing, virtual-time series recording, and wall profiling.
 /// [`Default`] is the unobserved replay.
@@ -420,47 +379,22 @@ pub struct Observers<'a> {
 }
 
 /// Register the cloud replay's headline metrics on a series recorder:
-/// engine throughput, the request/cache/pre-download/fetch counters, the
-/// per-ISP upload admissions (the paper's per-ISP weekly curves), the
-/// headline ratio gauges, and the median fetch rate.
+/// engine throughput, every [`Counters::METRICS`] counter, the per-ISP
+/// upload admissions (the paper's per-ISP weekly curves), the headline
+/// ratio gauges, and the median fetch rate.
 fn register_cloud_series(series: &SeriesRecorder, registry: &Registry) {
-    const COUNTERS: [&str; 24] = [
+    const OTHER_COUNTERS: [&str; 6] = [
         "sim.events",
-        "cloud.requests",
-        "cloud.cache.hit",
-        "cloud.cache.miss",
-        "cloud.dedup.joined",
-        "cloud.predownload.success",
-        "cloud.predownload.stagnation",
-        "cloud.predownload.fail.seeds",
-        "cloud.predownload.fail.connection",
-        "cloud.predownload.fail.bug",
-        "cloud.fetch.completed",
-        "cloud.fetch.impeded",
-        "cloud.fault.window",
-        "cloud.fault.predownload.forced",
-        "cloud.fault.predownload.slowed",
-        "cloud.fault.fetch.degraded",
-        "cloud.retry.attempt",
-        "cloud.retry.rescued",
-        "cloud.retry.exhausted",
         "cloud.upload.admit.unicom",
         "cloud.upload.admit.telecom",
         "cloud.upload.admit.mobile",
         "cloud.upload.admit.cernet",
         "cloud.upload.reject",
     ];
-    for name in COUNTERS {
+    for name in OTHER_COUNTERS.into_iter().chain(Counters::METRICS.map(|(name, _)| name)) {
         series.track_counter(name, registry.counter(name));
     }
-    const GAUGES: [&str; 5] = [
-        "sim.queue_depth",
-        "cloud.hit_ratio",
-        "cloud.failure_ratio",
-        "cloud.rejection_ratio",
-        "cloud.impeded_ratio",
-    ];
-    for name in GAUGES {
+    for name in std::iter::once("sim.queue_depth").chain(RATIO_GAUGES) {
         series.track_gauge(name, registry.gauge(name));
     }
     series.track_quantile(
@@ -519,8 +453,12 @@ pub struct XuanfengCloud<'a> {
     // side table (≲1 MB, L2-resident) replaces a `FileMeta` fetch from
     // the much larger catalog — one fewer DRAM miss per event.
     fig10_bin: Vec<u16>,
-    metrics: CloudMetrics,
-    hot: HotMetrics,
+    // Where the tally drains: `drained` is the tally as of the last
+    // drain, and the two histograms hold the samples since then.
+    registry: Registry,
+    drained: Counters,
+    fetch_rate_kbps: Histogram,
+    predownload_delay_ms: Histogram,
     // Per-task lifecycle tracing; None keeps the hot path one branch.
     lifecycle: Option<Lifecycle>,
 }
@@ -546,21 +484,20 @@ const FIG10_BIN_WIDTH: f64 = 10.0;
 const FIG10_BINS: usize = 21;
 
 impl<'a> XuanfengCloud<'a> {
-    /// Build the world around a generated workload.
+    /// Build the world around a generated workload; every metric the
+    /// replay records lands in `registry`.
     pub fn new(
         cfg: CloudConfig,
         catalog: &'a Catalog,
         population: &'a Population,
         workload: &'a Workload,
         rngs: &RngFactory,
+        registry: &Registry,
     ) -> Self {
         let mut db = ContentDb::new(catalog);
         // The scenario picks the replacement policy; single-shard LRU is the
         // paper's pool. Preallocate for the catalog so warming never regrows.
-        let mut pool = InstrumentedCache::new(
-            cfg.cache.build(cfg.scaled_cache_mb(), catalog.len()),
-            odx_telemetry::global(),
-        );
+        let mut pool = cfg.cache.build(cfg.scaled_cache_mb(), catalog.len());
         if cfg.cache_enabled {
             let mut warm_rng = rngs.stream("cloud-warm");
             for idx in db.warm(catalog, cfg.warm_cache_pivot, &mut warm_rng) {
@@ -571,7 +508,10 @@ impl<'a> XuanfengCloud<'a> {
                 }
             }
         }
-        let backend = CloudWeekBackend::new(&cfg, rngs);
+        // Wrapped after warming: warm-up inserts precede the replay and
+        // are not counted.
+        let pool = InstrumentedCache::new(pool, registry);
+        let backend = CloudWeekBackend::new(&cfg, rngs, registry);
         let horizon_secs = (odx_trace::WEEK + SimDuration::from_days(2)).as_secs_f64();
         let plan = FaultPlan::compile(&cfg.faults, &mut rngs.stream("faults"));
         XuanfengCloud {
@@ -608,8 +548,10 @@ impl<'a> XuanfengCloud<'a> {
                         as u16
                 })
                 .collect(),
-            metrics: CloudMetrics::new(odx_telemetry::global()),
-            hot: HotMetrics::default(),
+            registry: registry.clone(),
+            drained: Counters::default(),
+            fetch_rate_kbps: Histogram::new(),
+            predownload_delay_ms: Histogram::new(),
             lifecycle: None,
         }
     }
@@ -652,25 +594,6 @@ impl<'a> XuanfengCloud<'a> {
         }
     }
 
-    /// Run the full replay, consuming the world. Metrics land in the
-    /// process-wide [`odx_telemetry::global`] registry.
-    pub fn replay(
-        catalog: &Catalog,
-        population: &Population,
-        workload: &Workload,
-        cfg: CloudConfig,
-        rngs: &RngFactory,
-    ) -> WeekReport {
-        Self::replay_with_registry(
-            catalog,
-            population,
-            workload,
-            cfg,
-            rngs,
-            odx_telemetry::global(),
-        )
-    }
-
     /// Run the full replay, recording metrics and sim spans into an
     /// explicit registry. With a fresh registry per call, two same-seed
     /// replays produce byte-identical metric snapshots.
@@ -694,27 +617,6 @@ impl<'a> XuanfengCloud<'a> {
         .0
     }
 
-    /// Run the full replay with per-task lifecycle tracing on: every
-    /// sampled task gets a [`odx_telemetry::TaskTrace`] covering arrival,
-    /// cache/dedup lookups, pre-downloading, queueing, upload admission,
-    /// and the fetch, and anomalous terminals dump the flight recorder.
-    /// All trace timestamps are virtual, so the returned
-    /// [`LifecycleReport`] is byte-identical across same-seed runs.
-    pub fn replay_traced(
-        catalog: &Catalog,
-        population: &Population,
-        workload: &Workload,
-        cfg: CloudConfig,
-        rngs: &RngFactory,
-        registry: &Registry,
-        trace: &TraceConfig,
-    ) -> (WeekReport, LifecycleReport) {
-        let observers = Observers { trace: Some(trace), ..Observers::default() };
-        let (report, lifecycle) =
-            Self::replay_observed(catalog, population, workload, cfg, rngs, registry, observers);
-        (report, lifecycle.expect("tracing was requested"))
-    }
-
     /// Run the full replay with an explicit [`Observers`] bundle: any
     /// combination of lifecycle tracing, virtual-time series recording,
     /// and wall profiling. The deterministic outputs (week report,
@@ -731,10 +633,7 @@ impl<'a> XuanfengCloud<'a> {
         observers: Observers<'_>,
     ) -> (WeekReport, Option<LifecycleReport>) {
         let scheduler = cfg.scheduler;
-        let mut world = XuanfengCloud::new(cfg, catalog, population, workload, rngs);
-        world.metrics = CloudMetrics::new(registry);
-        world.backend.rebind_metrics(registry);
-        world.pool.rebind(registry);
+        let mut world = XuanfengCloud::new(cfg, catalog, population, workload, rngs, registry);
         world.lifecycle = observers.trace.map(Lifecycle::new);
         let flight = world.lifecycle.as_ref().map(|lifecycle| lifecycle.flight.clone());
         // Snapshot the compiled fault windows before the world moves into
@@ -779,14 +678,10 @@ impl<'a> XuanfengCloud<'a> {
         let final_now_ms = sim.now().as_millis();
         let mut world = sim.into_world();
         world.check_conservation();
-        world.metrics.drain(&mut world.hot);
+        world.drain();
         let lifecycle = world.lifecycle.take().map(|lifecycle| lifecycle.report());
         world.pool.finish(registry);
         let report = world.into_report();
-        registry.gauge("cloud.hit_ratio").set(report.hit_ratio());
-        registry.gauge("cloud.failure_ratio").set(report.failure_ratio());
-        registry.gauge("cloud.rejection_ratio").set(report.rejection_ratio());
-        registry.gauge("cloud.impeded_ratio").set(report.impeded_ratio());
         // The final sample lands after every drain and gauge write, so
         // each series ends exactly at its end-of-run snapshot value.
         if let Some(series) = &observers.series {
@@ -826,6 +721,43 @@ impl<'a> XuanfengCloud<'a> {
             self.pool.used_mb(),
             self.pool.capacity_mb()
         );
+        let c = &self.counters;
+        assert_eq!(
+            c.requests,
+            c.arrival_hits + c.misses,
+            "conservation: every request is an arrival hit or a miss"
+        );
+        assert_eq!(
+            c.predownload_successes + c.stagnations,
+            c.misses + c.retry_attempts,
+            "conservation: every pre-download dispatch (miss or retry) succeeds or stagnates"
+        );
+        assert_eq!(
+            c.completed_fetches + c.rejected_fetches,
+            self.fetches.len() as u64,
+            "conservation: every fetch record is a completed or a rejected fetch"
+        );
+        let drifted = (0..self.catalog.len() as u32)
+            .find(|&file| self.db.state(file).cached != self.pool.contains(u64::from(file)));
+        assert_eq!(drifted, None, "conservation: every file's DB cached flag matches the pool");
+    }
+
+    /// Flush the tally into the registry: each [`Counters::METRICS`]
+    /// counter gains its delta since the last drain, the local histograms
+    /// merge and empty, and the ratio gauges are set from the tally. Any
+    /// number of mid-run drains therefore sums to the end-of-run totals.
+    fn drain(&mut self) {
+        for (name, value) in Counters::METRICS {
+            self.registry.counter(name).add(value(&self.counters) - value(&self.drained));
+        }
+        self.drained = self.counters;
+        let fetch_rates = std::mem::take(&mut self.fetch_rate_kbps);
+        self.registry.histogram("cloud.fetch.rate_kbps").merge(&fetch_rates);
+        let delays = std::mem::take(&mut self.predownload_delay_ms);
+        self.registry.histogram("cloud.predownload.delay_ms").merge(&delays);
+        for (name, ratio) in RATIO_GAUGES.into_iter().zip(self.counters.ratios()) {
+            self.registry.gauge(name).set(ratio);
+        }
     }
 
     fn into_report(self) -> WeekReport {
@@ -850,14 +782,7 @@ impl<'a> XuanfengCloud<'a> {
     }
 
     fn record_failure_stats(&mut self, file: u32, requests: u64, cause: FailureCause) {
-        self.counters.predownload_failures += requests;
-        let slot = match cause {
-            FailureCause::InsufficientSeeds => 0,
-            FailureCause::PoorConnection => 1,
-            FailureCause::SystemBug => 2,
-        };
-        self.counters.failures_by_cause[slot] += requests;
-        self.hot.failures_by_cause[slot] += requests;
+        self.counters.failures_by_cause[cause as usize] += requests;
         self.failure_bins[self.fig10_bin[file as usize] as usize].0 += requests;
     }
 
@@ -908,7 +833,6 @@ impl<'a> XuanfengCloud<'a> {
         match window.kind {
             FaultKind::CloudOutage => {
                 self.counters.fault_forced_failures += 1;
-                self.hot.fault_predownload_forced += 1;
                 PredownloadOutcome::Failure {
                     cause: FailureCause::SystemBug,
                     duration: self.cfg.stagnation_timeout
@@ -919,7 +843,6 @@ impl<'a> XuanfengCloud<'a> {
             FaultKind::CloudBrownout => match outcome {
                 PredownloadOutcome::Success { rate_kbps, duration, traffic_mb } => {
                     self.counters.fault_slowed_predownloads += 1;
-                    self.hot.fault_predownload_slowed += 1;
                     PredownloadOutcome::Success {
                         rate_kbps: rate_kbps * window.severity,
                         duration: SimDuration::from_secs_f64(
@@ -947,14 +870,12 @@ impl<'a> XuanfengCloud<'a> {
                 // the admission grant, so release stays consistent.
                 plan.rate_kbps *= window.severity;
                 self.counters.fault_degraded_fetches += 1;
-                self.hot.fault_fetch_degraded += 1;
             }
         }
         if plan.rate_kbps <= 0.0 {
             // Rejected outright.
             self.counters.rejected_fetches += 1;
             self.counters.impeded_fetches += 1;
-            self.hot.fetch_impeded += 1;
             self.trace_instant(req, Stage::Admission, now, Some("reject"));
             self.trace_finish(req, TaskEnd::Rejected, now, Some("rejection"));
             self.fetches.push(FetchRecord {
@@ -988,7 +909,6 @@ impl<'a> XuanfengCloud<'a> {
         let secs = odx_net::transfer_secs(acquired_mb, plan.rate_kbps);
         if plan.rate_kbps < HD_THRESHOLD_KBPS {
             self.counters.impeded_fetches += 1;
-            self.hot.fetch_impeded += 1;
             if plan.crossed_barrier {
                 self.counters.impeded_barrier += 1;
             } else if user.access_kbps < HD_THRESHOLD_KBPS {
@@ -1031,26 +951,18 @@ impl World for XuanfengCloud<'_> {
     }
 
     /// Make every sampled metric current at a series grid point: drain
-    /// the hot-path batch into the registry (exact and idempotent — the
-    /// batch empties, so the end-of-run drain only adds the tail) and
-    /// refresh the headline ratio gauges with the same formulas the
-    /// final [`WeekReport`] uses, so mid-run samples show the ratios
-    /// evolving and the final sample matches the report exactly.
+    /// the tally into the registry (each counter gains its delta since
+    /// the last drain) and set the ratio gauges from it, so mid-run
+    /// samples show the counts and ratios evolving and the final sample
+    /// matches the report exactly.
     fn pre_sample(&mut self, _at_ms: u64) {
-        self.metrics.drain(&mut self.hot);
-        let requests = self.counters.requests.max(1) as f64;
-        let attempts = self.fetches.len().max(1) as f64;
-        self.metrics.hit_ratio.set(self.counters.cache_hits as f64 / requests);
-        self.metrics.failure_ratio.set(self.counters.predownload_failures as f64 / requests);
-        self.metrics.rejection_ratio.set(self.counters.rejected_fetches as f64 / attempts);
-        self.metrics.impeded_ratio.set(self.counters.impeded_fetches as f64 / attempts);
+        self.drain();
     }
 
     fn handle(&mut self, ctx: &mut Ctx<Ev>, ev: Ev) {
         match ev {
             Ev::Arrive(req) => {
                 self.counters.requests += 1;
-                self.hot.requests += 1;
                 let request = &self.workload.requests()[req as usize];
                 let file_idx = request.file;
                 self.db.state_mut(file_idx).observed_requests += 1;
@@ -1060,8 +972,7 @@ impl World for XuanfengCloud<'_> {
 
                 if self.pool.lookup(u64::from(file_idx), now.as_millis()).is_some() {
                     debug_assert!(self.db.state(file_idx).cached, "pool/DB flag drift");
-                    self.counters.cache_hits += 1;
-                    self.hot.cache_hit += 1;
+                    self.counters.arrival_hits += 1;
                     self.predownloads.push(self.hit_record(now));
                     self.pd_delay_ms[req as usize] = 0;
                     let think = self.think_after_hit();
@@ -1075,13 +986,12 @@ impl World for XuanfengCloud<'_> {
                     let tail = self.waiter_tail[file_idx as usize];
                     self.next_waiter[tail as usize] = req;
                     self.waiter_tail[file_idx as usize] = req;
-                    self.counters.cache_hits += 1;
-                    self.hot.cache_hit += 1;
-                    self.hot.dedup_joined += 1;
+                    self.counters.arrival_hits += 1;
+                    self.counters.dedup_joins += 1;
                     self.trace_instant(req, Stage::CacheLookup, now, Some("miss"));
                     self.trace_instant(req, Stage::DedupLookup, now, Some("joined"));
                 } else {
-                    self.hot.cache_miss += 1;
+                    self.counters.misses += 1;
                     self.trace_instant(req, Stage::CacheLookup, now, Some("miss"));
                     self.trace_instant(req, Stage::DedupLookup, now, Some("initiated"));
                     let outcome = self.predownload_with_faults(file_idx, now);
@@ -1101,7 +1011,7 @@ impl World for XuanfengCloud<'_> {
                 match outcome {
                     PredownloadOutcome::Success { rate_kbps, traffic_mb, .. } => {
                         let attempts = std::mem::take(&mut self.retry_attempts[file as usize]);
-                        self.hot.predownload_success += 1;
+                        self.counters.predownload_successes += 1;
                         if self.cfg.cache_enabled {
                             self.db.state_mut(file).cached = true;
                             // The eviction list may include `file` itself if
@@ -1135,7 +1045,7 @@ impl World for XuanfengCloud<'_> {
                                 failure_cause: None,
                             });
                             let delay_ms = now.since(arrived).as_millis();
-                            self.hot.predownload_delay_ms.record(delay_ms);
+                            self.predownload_delay_ms.record(delay_ms);
                             self.pd_delay_ms[req as usize] = delay_ms;
                             let think = self.think_after_predownload();
                             let detail = if i == 0 { "initiator" } else { "joined" };
@@ -1149,7 +1059,6 @@ impl World for XuanfengCloud<'_> {
                             // Every waiter on a retried file would have been
                             // failed under `retry.policy=none`.
                             self.counters.retry_rescued += i as u64;
-                            self.hot.retry_rescued += i as u64;
                         }
                     }
                     PredownloadOutcome::Failure { cause, traffic_mb, .. } => {
@@ -1166,8 +1075,7 @@ impl World for XuanfengCloud<'_> {
                         {
                             self.retry_attempts[file as usize] = attempt + 1;
                             self.counters.retry_attempts += 1;
-                            self.hot.retry_attempt += 1;
-                            self.hot.predownload_stagnation += 1;
+                            self.counters.stagnations += 1;
                             self.db.state_mut(file).failed_attempts += 1;
                             self.counters.predownload_traffic_mb += traffic_mb;
                             self.db.state_mut(file).in_flight = true;
@@ -1176,12 +1084,11 @@ impl World for XuanfengCloud<'_> {
                         }
                         if self.retry_policy.is_active() && attempt > 0 {
                             self.counters.retry_exhausted += 1;
-                            self.hot.retry_exhausted += 1;
                             self.retry_attempts[file as usize] = 0;
                         }
                         // Failed attempts are abandoned by the stagnation
                         // timeout rule, one firing per attempt.
-                        self.hot.predownload_stagnation += 1;
+                        self.counters.stagnations += 1;
                         self.db.state_mut(file).failed_attempts += 1;
                         self.counters.predownload_traffic_mb += traffic_mb;
                         let mut cursor = self.waiter_head[file as usize];
@@ -1213,8 +1120,8 @@ impl World for XuanfengCloud<'_> {
                         }
                         self.record_failure_stats(file, n, cause);
                         // Joiners (everyone but the initiator) were
-                        // optimistically counted as hits on arrival.
-                        self.counters.cache_hits -= n - 1;
+                        // counted as arrival hits.
+                        self.counters.failed_joins += n - 1;
                     }
                 }
                 self.waiter_head[file as usize] = NO_WAITER;
@@ -1231,8 +1138,7 @@ impl World for XuanfengCloud<'_> {
                 let delay = now.since(began);
                 let acquired_mb = rate_kbps * delay.as_secs_f64() / 1000.0;
                 self.counters.completed_fetches += 1;
-                self.hot.fetch_completed += 1;
-                self.hot.fetch_rate_kbps.record_f64(rate_kbps);
+                self.fetch_rate_kbps.record_f64(rate_kbps);
                 self.backend.note_fetched(rate_kbps, acquired_mb);
                 self.fetches.push(FetchRecord {
                     user_id: request.user,
@@ -1273,7 +1179,6 @@ impl World for XuanfengCloud<'_> {
                 // plan, so the handler just counts and the event's label
                 // stamps the opening into the flight-recorder ring.
                 self.counters.fault_windows += 1;
-                self.hot.fault_window += 1;
             }
             Ev::RetryPredl { file } => {
                 let now = ctx.now();
@@ -1291,14 +1196,43 @@ mod tests {
     use odx_trace::{CatalogConfig, PopulationConfig, WorkloadConfig};
     use rand::SeedableRng;
 
-    fn replay_at(scale: f64, seed: u64) -> WeekReport {
+    fn replay_observed_at(
+        scale: f64,
+        seed: u64,
+        cfg: CloudConfig,
+        registry: &Registry,
+        observers: Observers<'_>,
+    ) -> (WeekReport, Option<LifecycleReport>) {
         let rngs = RngFactory::new(seed);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let catalog = Catalog::generate(&CatalogConfig::scaled(scale), &mut rng);
         let population = Population::generate(&PopulationConfig::scaled(scale), &mut rng);
         let workload =
             Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-        XuanfengCloud::replay(&catalog, &population, &workload, CloudConfig::at_scale(scale), &rngs)
+        XuanfengCloud::replay_observed(
+            &catalog,
+            &population,
+            &workload,
+            cfg,
+            &rngs,
+            registry,
+            observers,
+        )
+    }
+
+    fn replay_with(scale: f64, seed: u64, cfg: CloudConfig) -> WeekReport {
+        replay_observed_at(scale, seed, cfg, &Registry::new(), Observers::default()).0
+    }
+
+    fn replay_at(scale: f64, seed: u64) -> WeekReport {
+        replay_with(scale, seed, CloudConfig::at_scale(scale))
+    }
+
+    fn replay_traced(scale: f64, seed: u64, trace: &TraceConfig) -> (WeekReport, LifecycleReport) {
+        let observers = Observers { trace: Some(trace), ..Observers::default() };
+        let cfg = CloudConfig::at_scale(scale);
+        let (report, lifecycle) = replay_observed_at(scale, seed, cfg, &Registry::new(), observers);
+        (report, lifecycle.expect("tracing was requested"))
     }
 
     #[test]
@@ -1323,16 +1257,6 @@ mod tests {
         let report = replay_at(0.005, 112);
         let failure = report.failure_ratio();
         assert!((failure - 0.087).abs() < 0.04, "failure ratio {failure}");
-    }
-
-    fn replay_with(scale: f64, seed: u64, cfg: CloudConfig) -> WeekReport {
-        let rngs = RngFactory::new(seed);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let catalog = Catalog::generate(&CatalogConfig::scaled(scale), &mut rng);
-        let population = Population::generate(&PopulationConfig::scaled(scale), &mut rng);
-        let workload =
-            Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-        XuanfengCloud::replay(&catalog, &population, &workload, cfg, &rngs)
     }
 
     #[test]
@@ -1390,18 +1314,10 @@ mod tests {
 
     #[test]
     fn no_cache_ablation_roughly_doubles_failures() {
-        let rngs = RngFactory::new(113);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(113);
-        let catalog = Catalog::generate(&CatalogConfig::scaled(0.005), &mut rng);
-        let population = Population::generate(&PopulationConfig::scaled(0.005), &mut rng);
-        let workload =
-            Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
         let mut cfg = CloudConfig::at_scale(0.005);
-        let with_cache =
-            XuanfengCloud::replay(&catalog, &population, &workload, cfg, &rngs).failure_ratio();
+        let with_cache = replay_with(0.005, 113, cfg).failure_ratio();
         cfg.cache_enabled = false;
-        let without_cache =
-            XuanfengCloud::replay(&catalog, &population, &workload, cfg, &rngs).failure_ratio();
+        let without_cache = replay_with(0.005, 113, cfg).failure_ratio();
         // §4.1: 8.7 % with the pool vs 16.4 % without.
         assert!(
             without_cache > with_cache * 1.4,
@@ -1477,61 +1393,28 @@ mod tests {
     #[test]
     fn metrics_snapshot_is_byte_identical_across_same_seed_replays() {
         let run = || {
-            let registry = odx_telemetry::Registry::new();
-            let rngs = RngFactory::new(121);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(121);
-            let catalog = Catalog::generate(&CatalogConfig::scaled(0.002), &mut rng);
-            let population = Population::generate(&PopulationConfig::scaled(0.002), &mut rng);
-            let workload =
-                Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-            let report = XuanfengCloud::replay_with_registry(
-                &catalog,
-                &population,
-                &workload,
-                CloudConfig::at_scale(0.002),
-                &rngs,
-                &registry,
-            );
+            let registry = Registry::new();
+            let cfg = CloudConfig::at_scale(0.002);
+            let (report, _) = replay_observed_at(0.002, 121, cfg, &registry, Observers::default());
             (registry.snapshot(), report)
         };
         let (snap_a, report) = run();
         let (snap_b, _) = run();
         assert_eq!(snap_a.to_json(), snap_b.to_json());
 
-        // The snapshot agrees with the report the harness prints.
-        assert_eq!(snap_a.counters["cloud.requests"], report.counters.requests);
-        assert_eq!(snap_a.counters["cloud.fetch.completed"], report.counters.completed_fetches);
-        assert_eq!(snap_a.counters["cloud.upload.reject"], report.counters.rejected_fetches);
-        assert!((snap_a.gauges["cloud.hit_ratio"] - report.hit_ratio()).abs() < 1e-12);
-        assert!((snap_a.gauges["cloud.rejection_ratio"] - report.rejection_ratio()).abs() < 1e-12);
-        // Per-ISP admissions plus rejections cover every fetch attempt.
-        let admitted: u64 = Isp::MAJORS
-            .iter()
-            .map(|isp| snap_a.counters[&format!("cloud.upload.admit.{}", isp.lowercase_name())])
-            .sum();
-        assert_eq!(admitted + snap_a.counters["cloud.upload.reject"], report.fetches.len() as u64);
+        // The snapshot reads off the report's tally (every preset and
+        // faulted cell: `tests/cloud_counters.rs`).
+        for (name, value) in Counters::METRICS {
+            assert_eq!(snap_a.counters[name], value(&report.counters), "{name}");
+        }
+        assert_eq!(snap_a.gauges["cloud.hit_ratio"], report.hit_ratio());
         // The sim hooks saw every scheduled event.
         assert!(snap_a.counters["sim.events"] >= report.counters.requests);
     }
 
     #[test]
     fn lifecycle_spans_tile_completion_times_exactly() {
-        let registry = odx_telemetry::Registry::new();
-        let rngs = RngFactory::new(122);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(122);
-        let catalog = Catalog::generate(&CatalogConfig::scaled(0.002), &mut rng);
-        let population = Population::generate(&PopulationConfig::scaled(0.002), &mut rng);
-        let workload =
-            Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-        let (report, lifecycle) = XuanfengCloud::replay_traced(
-            &catalog,
-            &population,
-            &workload,
-            CloudConfig::at_scale(0.002),
-            &rngs,
-            &registry,
-            &TraceConfig::full(),
-        );
+        let (report, lifecycle) = replay_traced(0.002, 122, &TraceConfig::full());
         assert_eq!(lifecycle.traces.traces.len(), report.counters.requests as usize);
         // Per task: the timed stages tile arrival → terminal exactly.
         let mut ended = 0u64;
@@ -1552,37 +1435,19 @@ mod tests {
         assert_eq!(attribution.tasks, ended);
         assert_eq!(
             attribution.ends[TaskEnd::Stagnated.index()],
-            report.counters.predownload_failures
+            report.counters.predownload_failures()
         );
         assert_eq!(attribution.ends[TaskEnd::Rejected.index()], report.counters.rejected_fetches);
         assert_eq!(attribution.ends[TaskEnd::Completed.index()], report.counters.completed_fetches);
         // Every anomalous terminal produced a flight dump (up to the cap).
-        let anomalies = report.counters.predownload_failures + report.counters.rejected_fetches;
+        let anomalies = report.counters.predownload_failures() + report.counters.rejected_fetches;
         assert_eq!(lifecycle.flight.dumps.len() as u64 + lifecycle.flight.dropped_dumps, anomalies);
         assert!(lifecycle.flight.dumps.iter().all(|d| !d.recent.is_empty()));
     }
 
     #[test]
     fn lifecycle_trace_is_deterministic_and_sampling_drops_whole_tasks() {
-        let run = |sample| {
-            let registry = odx_telemetry::Registry::new();
-            let rngs = RngFactory::new(123);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(123);
-            let catalog = Catalog::generate(&CatalogConfig::scaled(0.001), &mut rng);
-            let population = Population::generate(&PopulationConfig::scaled(0.001), &mut rng);
-            let workload =
-                Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-            XuanfengCloud::replay_traced(
-                &catalog,
-                &population,
-                &workload,
-                CloudConfig::at_scale(0.001),
-                &rngs,
-                &registry,
-                &TraceConfig::sampled(sample),
-            )
-            .1
-        };
+        let run = |sample| replay_traced(0.001, 123, &TraceConfig::sampled(sample)).1;
         let full_a = run(1);
         let full_b = run(1);
         assert_eq!(full_a.traces.to_chrome_json(), full_b.traces.to_chrome_json());
@@ -1603,7 +1468,7 @@ mod tests {
         let a = replay_at(0.002, 120);
         let b = replay_at(0.002, 120);
         assert_eq!(a.counters.requests, b.counters.requests);
-        assert_eq!(a.counters.cache_hits, b.counters.cache_hits);
+        assert_eq!(a.counters.cache_hits(), b.counters.cache_hits());
         assert_eq!(a.counters.rejected_fetches, b.counters.rejected_fetches);
         assert_eq!(a.fetches.len(), b.fetches.len());
         assert_eq!(a.predownloads[..100], b.predownloads[..100]);
@@ -1625,6 +1490,7 @@ mod tests {
                 &population,
                 &workload,
                 &rngs,
+                &Registry::new(),
             )
         };
         // A world holding one record per request and nothing in flight
@@ -1662,5 +1528,18 @@ mod tests {
         let plan = world.backend.plan_fetch(population.user(0));
         assert!(plan.admission.server_isp().is_some(), "an idle pool admits the fetch");
         assert!(violated(world).contains("upload reservations return to zero"));
+        let mut world = settled();
+        world.counters.requests += 1;
+        assert!(violated(world).contains("every request is an arrival hit or a miss"));
+        let mut world = settled();
+        world.counters.predownload_successes += 1;
+        assert!(violated(world).contains("every pre-download dispatch (miss or retry)"));
+        let mut world = settled();
+        world.counters.completed_fetches += 1;
+        assert!(violated(world).contains("every fetch record is a completed or a rejected fetch"));
+        let mut world = settled();
+        let cached = world.db.state(0).cached;
+        world.db.state_mut(0).cached = !cached;
+        assert!(violated(world).contains("every file's DB cached flag matches the pool"));
     }
 }

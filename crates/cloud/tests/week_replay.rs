@@ -4,23 +4,25 @@
 
 use odx_cloud::{CloudConfig, XuanfengCloud};
 use odx_sim::RngFactory;
+use odx_telemetry::Registry;
 use odx_trace::{Catalog, CatalogConfig, Population, PopulationConfig, Workload, WorkloadConfig};
 use rand::SeedableRng;
 
 const SCALE: f64 = 0.05;
 
-fn replay() -> odx_cloud::WeekReport {
-    let rngs = RngFactory::new(2015);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2015);
-    let catalog = Catalog::generate(&CatalogConfig::scaled(SCALE), &mut rng);
-    let population = Population::generate(&PopulationConfig::scaled(SCALE), &mut rng);
+fn replay(scale: f64, seed: u64, cfg: CloudConfig) -> odx_cloud::WeekReport {
+    let rngs = RngFactory::new(seed);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let catalog = Catalog::generate(&CatalogConfig::scaled(scale), &mut rng);
+    let population = Population::generate(&PopulationConfig::scaled(scale), &mut rng);
     let workload = Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
-    XuanfengCloud::replay(&catalog, &population, &workload, CloudConfig::at_scale(SCALE), &rngs)
+    let registry = Registry::new();
+    XuanfengCloud::replay_with_registry(&catalog, &population, &workload, cfg, &rngs, &registry)
 }
 
 #[test]
 fn week_replay_reproduces_section4() {
-    let report = replay();
+    let report = replay(SCALE, 2015, CloudConfig::at_scale(SCALE));
 
     // §2.1: 89 % of requests instantly satisfied from the pool.
     let hit = report.hit_ratio();
@@ -80,17 +82,10 @@ fn week_replay_reproduces_section4() {
 
 #[test]
 fn no_cache_counterfactual_matches_section4() {
-    let rngs = RngFactory::new(2016);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2016);
-    let catalog = Catalog::generate(&CatalogConfig::scaled(0.02), &mut rng);
-    let population = Population::generate(&PopulationConfig::scaled(0.02), &mut rng);
-    let workload = Workload::generate(&catalog, &population, &WorkloadConfig::default(), &mut rng);
     let mut cfg = CloudConfig::at_scale(0.02);
-    let with_cache =
-        XuanfengCloud::replay(&catalog, &population, &workload, cfg, &rngs).failure_ratio();
+    let with_cache = replay(0.02, 2016, cfg).failure_ratio();
     cfg.cache_enabled = false;
-    let without =
-        XuanfengCloud::replay(&catalog, &population, &workload, cfg, &rngs).failure_ratio();
+    let without = replay(0.02, 2016, cfg).failure_ratio();
     // §4.1: 8.7 % → 16.4 % without the pool.
     assert!((without - 0.164).abs() < 0.05, "no-cache failure {without}");
     assert!(without > 1.5 * with_cache, "{with_cache} → {without}");

@@ -111,9 +111,17 @@ impl Study {
         self.replay_cloud_with(self.scenario_cloud_config(scenario))
     }
 
-    /// Replay the week with an explicit cloud config (ablations).
+    /// Replay the week with an explicit cloud config (ablations). Metrics
+    /// land in the process-wide [`odx_telemetry::global`] registry.
     pub fn replay_cloud_with(&self, cfg: CloudConfig) -> WeekReport {
-        XuanfengCloud::replay(&self.catalog, &self.population, &self.workload, cfg, &self.rngs)
+        XuanfengCloud::replay_with_registry(
+            &self.catalog,
+            &self.population,
+            &self.workload,
+            cfg,
+            &self.rngs,
+            odx_telemetry::global(),
+        )
     }
 
     /// Replay the week under a scenario with per-task lifecycle tracing:
@@ -125,17 +133,9 @@ impl Study {
         registry: &Registry,
         trace: &TraceConfig,
     ) -> (WeekReport, LifecycleReport) {
-        let (report, mut lifecycle) = XuanfengCloud::replay_traced(
-            &self.catalog,
-            &self.population,
-            &self.workload,
-            self.scenario_cloud_config(scenario),
-            &self.rngs,
-            registry,
-            trace,
-        );
-        lifecycle.set_context(scenario.scheduler.name(), &scenario.name);
-        (report, lifecycle)
+        let observers = Observers { trace: Some(trace), ..Observers::default() };
+        let (report, lifecycle) = self.replay_cloud_observed(scenario, registry, observers);
+        (report, lifecycle.expect("tracing was requested"))
     }
 
     /// Replay the week under a scenario with an explicit observer bundle

@@ -144,8 +144,8 @@ impl SweepCell {
             scenario: scenario.name.clone(),
             seed,
             requests: report.counters.requests,
-            cache_hits: report.counters.cache_hits,
-            predownload_failures: report.counters.predownload_failures,
+            cache_hits: report.counters.cache_hits(),
+            predownload_failures: report.counters.predownload_failures(),
             rejected_fetches: report.counters.rejected_fetches,
             impeded_fetches: report.counters.impeded_fetches,
             completed_fetches: report.counters.completed_fetches,

@@ -438,9 +438,11 @@ mod tests {
             -f64::NAN,
             f64::INFINITY,
             f64::NEG_INFINITY,
-            // Exactly halfway between two 17-digit candidates.
-            1_125_899_906_842_624.25,
-            1_125_899_906_842_624.75,
+            // Exactly halfway between two 17-digit candidates: 2^50 plus
+            // a quarter or three quarters of its 0.25 spacing, written as
+            // sums because the exact literals trip `excessive_precision`.
+            1_125_899_906_842_624.0 + 0.25,
+            1_125_899_906_842_624.0 + 0.75,
             700.25,
             19.6,
             166.7,

@@ -13,8 +13,8 @@ fn identical_seeds_produce_identical_studies() {
     let ra = a.replay_cloud();
     let rb = b.replay_cloud();
     assert_eq!(ra.counters.requests, rb.counters.requests);
-    assert_eq!(ra.counters.cache_hits, rb.counters.cache_hits);
-    assert_eq!(ra.counters.predownload_failures, rb.counters.predownload_failures);
+    assert_eq!(ra.counters.cache_hits(), rb.counters.cache_hits());
+    assert_eq!(ra.counters.predownload_failures(), rb.counters.predownload_failures());
     assert_eq!(ra.counters.rejected_fetches, rb.counters.rejected_fetches);
     assert_eq!(ra.fetches.len(), rb.fetches.len());
     assert_eq!(ra.fetch_speed_ecdf().median().unwrap(), rb.fetch_speed_ecdf().median().unwrap());
